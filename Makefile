@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race verify bench-faults bench-crash bench-chaos bench-delta bench-tiers bench-json bench-decisions metrics-lint fmt-check staticcheck trace-smoke scrub-sweep
+.PHONY: build vet test race verify bench-faults bench-crash bench-chaos bench-delta bench-tiers bench-json bench-decisions metrics-lint fmt-check staticcheck trace-smoke scrub-sweep perfbench-check
 
 build:
 	$(GO) build ./...
@@ -93,6 +93,18 @@ trace-smoke:
 	  missing = need - names; \
 	  assert not missing, f'trace missing spans: {missing}'; \
 	  print('trace OK:', len(doc['traceEvents']), 'events')"
+
+# The benchmark (perfbench/) is its own Go module, so the root build and
+# tests never compile it. Vet and test it in place, then run every
+# workload for 3 s traced; each run's last line must report
+# "correct": true (every save, read and recovery returned the saved bytes).
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	@for w in save-full train-sparse restore-tiered; do \
+	  last=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 3 --trace 1 | tail -n 1); \
+	  case "$$last" in *'"correct": true'*) echo "perfbench $$w: correct";; \
+	  *) echo "perfbench $$w: not correct: $$last"; exit 1;; esac; \
+	done
 
 # Requires staticcheck on PATH (go install honnef.co/go/tools/cmd/staticcheck@latest).
 staticcheck:

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"math"
 	"runtime"
 	"sync"
@@ -121,10 +122,12 @@ type Checkpointer struct {
 	// chain holds the pinned keyframe→delta slots, keyframe first, with the
 	// tip also published through checkAddr; those slots stay out of the
 	// free queue until the next keyframe supersedes the whole chain. hashes
-	// is the per-chunk hash state of the tip (nil forces the next save to
-	// be a keyframe, e.g. right after Open), lastSize the tip's logical
-	// size, saveSeq the DeltaEvery cadence counter.
+	// is the per-granule hash table of the tip, keyed by hashSeed (nil
+	// forces the next save to be a keyframe, e.g. right after Open),
+	// lastSize the tip's logical size, saveSeq the DeltaEvery cadence
+	// counter.
 	deltaMu     sync.Mutex
+	hashSeed    maphash.Seed
 	chain       []checkMeta
 	deltasSince int
 	hashes      []uint64
@@ -366,6 +369,7 @@ func attach(dev storage.Device, cfg Config, sb superblock, latest *checkMeta, la
 		// hashes stays nil: the first save after attach is always a keyframe
 		// (there is no in-memory hash state to diff against).
 		c.tracker = &DirtyTracker{}
+		c.hashSeed = maphash.MakeSeed()
 	}
 	if latest != nil {
 		c.checkAddr.Store(latest)
@@ -466,48 +470,14 @@ func (c *Checkpointer) Checkpoint(ctx context.Context, src Source) (uint64, erro
 	// Line 5: order this checkpoint.
 	counter := c.gCounter.Add(1)
 
-	// Lines 6–11: obtain a free slot, spinning like the paper's deq loop.
-	slot, waited, err := c.acquireSlot(ctx)
+	// Lines 6–18: slot, payload, header.
+	cur, err := c.writeSlot(ctx, src, counter, nil)
 	if err != nil {
-		c.stats.FailedSaves.Add(1)
-		c.instant(obs.PhaseSaveFailed, counter, -1, 0, 0)
 		return 0, err
 	}
-	if waited {
-		c.stats.SlotWaits.Add(1)
-		if c.dec != nil {
-			c.recordSlotWait(counter, time.Since(start))
-		}
-	}
-	var didWait int64
-	if waited {
-		didWait = 1
-	}
-	c.span(obs.PhaseSlotWait, obsStart, counter, slot, 0, didWait)
-	c.slotSeq[slot].Add(1) // odd: slot contents unstable
-
-	// Lines 12–15: move the payload through DRAM chunks to the device with
-	// p parallel writers, then make it durable.
-	payloadCRC, err := c.writePayload(ctx, slot, src, counter)
-	if err != nil {
-		c.failSlot(slot, counter)
-		return 0, err
-	}
-
-	// Lines 16–18: persist this slot's header before publishing.
-	hdrStart := c.obsNow()
-	hdr := slotHeader{counter: counter, size: size, payloadCRC: payloadCRC, hasCRC: c.cfg.VerifyPayload, epoch: c.sb.epoch}
-	if err := c.retryIO(ctx, func() error {
-		return c.dev.Persist(encodeSlotHeader(hdr), slotBase(c.sb, slot))
-	}); err != nil {
-		c.failSlot(slot, counter)
-		return 0, err
-	}
-	c.span(obs.PhaseHeader, hdrStart, counter, slot, slotHeaderSize, 0)
-	c.slotSeq[slot].Add(1) // even: slot stable until recycled
+	slot := cur.slot
 
 	// Lines 19–34: publish via CAS on CHECK_ADDR.
-	cur := &checkMeta{slot: slot, counter: counter, size: size}
 	for {
 		if c.checkAddr.CompareAndSwap(lastCheck, cur) {
 			// Success: persist the pointer (BARRIER), then free the old slot.
@@ -567,6 +537,64 @@ func (c *Checkpointer) Checkpoint(ctx context.Context, src Source) (uint64, erro
 		c.span(obs.PhaseSave, obsStart, counter, slot, size, 0)
 		return counter, nil
 	}
+}
+
+// writeSlot runs the slot steps every save shares (Listing 1 lines 6–18):
+// take a free slot, mark it unstable, stream the payload into it, persist
+// its header, mark it stable. The returned checkpoint is not yet
+// published. On error the slot is back in the free queue and the failure
+// counted. dp carries a delta-mode save's pass and is nil in full mode.
+func (c *Checkpointer) writeSlot(ctx context.Context, src Source, counter uint64, dp *deltaPass) (*checkMeta, error) {
+	// Lines 6–11: obtain a free slot, spinning like the paper's deq loop.
+	obsWait := c.obsNow()
+	slot, waited, err := c.acquireSlot(ctx)
+	if err != nil {
+		c.stats.FailedSaves.Add(1)
+		c.instant(obs.PhaseSaveFailed, counter, -1, 0, 0)
+		return nil, err
+	}
+	var didWait int64
+	if waited {
+		didWait = 1
+		c.stats.SlotWaits.Add(1)
+		if c.dec != nil { // dec implies an observer, so obsWait was sampled
+			c.recordSlotWait(counter, time.Duration(time.Now().UnixNano()-obsWait))
+		}
+	}
+	c.span(obs.PhaseSlotWait, obsWait, counter, slot, 0, didWait)
+	c.slotSeq[slot].Add(1) // odd: slot contents unstable
+
+	// Lines 12–15: move the payload through DRAM chunks to the device with
+	// p parallel writers, then make it durable.
+	stored, payloadCRC, err := c.writePayload(ctx, slot, src, counter, dp)
+	if err != nil {
+		c.failSlot(slot, counter)
+		return nil, err
+	}
+	cur := &checkMeta{slot: slot, counter: counter, size: stored}
+	if dp != nil {
+		cur.fullSize = src.Size()
+		if dp.old != nil {
+			cur.kind, cur.base = slotKindDelta, dp.base
+		}
+	}
+
+	// Lines 16–18: persist this slot's header before publishing.
+	hdrStart := c.obsNow()
+	hdr := slotHeader{
+		counter: counter, size: stored, payloadCRC: payloadCRC,
+		hasCRC: c.cfg.VerifyPayload, epoch: c.sb.epoch,
+		kind: cur.kind, base: cur.base, fullSize: cur.fullSize,
+	}
+	if err := c.retryIO(ctx, func() error {
+		return c.dev.Persist(encodeSlotHeader(hdr), slotBase(c.sb, slot))
+	}); err != nil {
+		c.failSlot(slot, counter)
+		return nil, err
+	}
+	c.span(obs.PhaseHeader, hdrStart, counter, slot, slotHeaderSize, 0)
+	c.slotSeq[slot].Add(1) // even: slot stable until recycled
+	return cur, nil
 }
 
 // failSlot abandons an unpublished slot after a persist failure: the seqlock
@@ -638,20 +666,26 @@ func (c *Checkpointer) redriveRecord(ctx context.Context) error {
 
 // writePayload streams src into the slot's payload area through the DRAM
 // chunk pool, persisting with the configured number of writer goroutines,
-// and returns the payload CRC (0 when verification is disabled).
+// and returns the stored length and payload CRC (0 when verification is
+// disabled).
 //
 // Pipelining (§4.1 "Pipelining and Using Chunks"): the source fill of chunk
 // k+1 overlaps the device persist of chunk k, bounded by pool capacity — a
 // full pool is exactly the "checkpoint waits for free chunks in DRAM"
 // condition of §3.2. The producer fills chunks in payload order, so the
 // payload CRC folds incrementally there, off the device critical path.
-func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, counter uint64) (uint32, error) {
+//
+// In delta mode (dp non-nil) the same pass encodes the record: dp.encode
+// hashes each chunk's whole granules and keeps what the record stores. A
+// delta's header is written last, its CRC combined with the data's; a
+// delta that stops beating a keyframe restarts as one once writes drain.
+func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, counter uint64, dp *deltaPass) (int64, uint32, error) {
 	size := src.Size()
 	base := payloadBase(c.sb, slot)
 
 	type task struct {
 		chunk *chunkpool.Chunk
-		off   int64 // offset within the payload
+		off   int64 // offset within the payload area
 		n     int
 	}
 
@@ -682,16 +716,7 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 				// hardware — not the series of the two.
 				laneDeadline := lane.Reserve(t.n)
 				persistStart := c.obsNow()
-				err := c.retryIO(ctx, func() error {
-					if err := c.dev.WriteAt(t.chunk.Bytes()[:t.n], base+t.off); err != nil {
-						return err
-					}
-					if c.dev.Kind() == storage.KindPMEM {
-						// PMEM path: each writer fences its own stores (§4.1).
-						return c.dev.Sync(base+t.off, int64(t.n))
-					}
-					return nil
-				})
+				err := c.retryIO(ctx, func() error { return c.writeRange(t.chunk.Bytes()[:t.n], base+t.off) })
 				if c.obsv != nil {
 					c.obsv.Emit(obs.Event{
 						TS: persistStart, Dur: time.Now().UnixNano() - persistStart,
@@ -717,8 +742,16 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 	}
 
 	crc := crc32.NewIEEE()
+	verify := c.cfg.VerifyPayload
+	step := c.pool.ChunkSize()
+	if dp != nil {
+		step -= step % dp.gran // whole granules per chunk
+	}
+	stored := size
+	var sent int64
 	var produceErr error
-	for off := int64(0); off < size; {
+	n := 0
+	for off := int64(0); off < size; off += int64(n) {
 		if failed.Load() {
 			// A writer already failed past its retry budget; producing
 			// more chunks would only burn device bandwidth. errCh carries
@@ -732,10 +765,7 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 			break
 		}
 		c.span(obs.PhaseChunkWait, waitStart, counter, slot, 0, off)
-		n := chunk.Cap()
-		if int64(n) > size-off {
-			n = int(size - off)
-		}
+		n = int(min(int64(step), size-off))
 		// The paper's step ③: the copy engine moves the range into the DRAM
 		// chunk (for a GPU source this is the paced D2H copy).
 		copyStart := c.obsNow()
@@ -744,41 +774,81 @@ func (c *Checkpointer) writePayload(ctx context.Context, slot int, src Source, c
 			produceErr = err
 			break
 		}
-		if c.cfg.VerifyPayload {
-			crc.Write(chunk.Bytes()[:n]) //nolint:errcheck // hash.Write never fails
+		at, m := off, n
+		if dp == nil {
+			if verify {
+				crc.Write(chunk.Bytes()[:n]) //nolint:errcheck // hash.Write never fails
+			}
+			c.span(obs.PhaseCopy, copyStart, counter, slot, int64(n), off)
+		} else {
+			c.span(obs.PhaseCopy, copyStart, counter, slot, int64(n), off)
+			encStart := c.obsNow()
+			if at, m, err = dp.encode(chunk.Bytes()[:n], off); err == nil && verify {
+				crc.Write(chunk.Bytes()[:m]) //nolint:errcheck // hash.Write never fails
+			}
+			c.span(obs.PhaseDeltaEncode, encStart, counter, slot, int64(m), int64(n))
+			if err != nil || m == 0 {
+				c.pool.Release(chunk)
+				if produceErr = err; err != nil {
+					break
+				}
+				continue
+			}
 		}
-		c.span(obs.PhaseCopy, copyStart, counter, slot, int64(n), off)
-		tasks <- task{chunk: chunk, off: off, n: n}
-		off += int64(n)
+		tasks <- task{chunk: chunk, off: at, n: m}
+		sent += int64(m)
 	}
 	close(tasks)
 	wg.Wait()
 
 	select {
 	case err := <-errCh:
-		return 0, err
+		return 0, 0, err
 	default:
 	}
-	if produceErr != nil {
-		return 0, produceErr
+	if errors.Is(produceErr, errNotSmaller) {
+		dp.old, dp.marked = nil, false
+		return c.writePayload(ctx, slot, src, counter, dp)
 	}
-	if got := persisted.Load(); got != size {
-		return 0, fmt.Errorf("core: persisted %d of %d bytes", got, size)
+	if produceErr != nil {
+		return 0, 0, produceErr
+	}
+	if got := persisted.Load(); got != sent {
+		return 0, 0, fmt.Errorf("core: persisted %d of %d bytes", got, sent)
+	}
+	sum := crc.Sum32() // 0 when not verifying: nothing was folded in
+	if dp != nil && dp.old != nil {
+		head := dp.seal()
+		if err := c.retryIO(ctx, func() error { return c.writeRange(head, base) }); err != nil {
+			return 0, 0, err
+		}
+		if stored = dp.pos; verify {
+			sum = crc32Combine(crc32.ChecksumIEEE(head), sum, stored-int64(len(head)))
+		}
 	}
 
 	// SSD path: a single sync covers all writers' chunks (§4.1: "the main
 	// thread can call a single msync"). PMEM writers already fenced.
 	if c.dev.Kind() != storage.KindPMEM {
 		syncStart := c.obsNow()
-		if err := c.retryIO(ctx, func() error { return c.dev.Sync(base, size) }); err != nil {
-			return 0, err
+		if err := c.retryIO(ctx, func() error { return c.dev.Sync(base, stored) }); err != nil {
+			return 0, 0, err
 		}
-		c.span(obs.PhaseSync, syncStart, counter, slot, size, 0)
+		c.span(obs.PhaseSync, syncStart, counter, slot, stored, 0)
 	}
-	if !c.cfg.VerifyPayload {
-		return 0, nil
+	return stored, sum, nil
+}
+
+// writeRange writes p at off; on PMEM each writer fences its own stores
+// (§4.1).
+func (c *Checkpointer) writeRange(p []byte, off int64) error {
+	if err := c.dev.WriteAt(p, off); err != nil {
+		return err
 	}
-	return crc.Sum32(), nil
+	if c.dev.Kind() == storage.KindPMEM {
+		return c.dev.Sync(off, int64(len(p)))
+	}
+	return nil
 }
 
 // persistRecord durably writes the pointer record for meta. Records are

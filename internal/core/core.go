@@ -83,7 +83,7 @@ type Config struct {
 	Writers int
 	// ChunkBytes is b, the DRAM staging chunk size for the pipelined path.
 	// Zero disables pipelining: each checkpoint stages through a single
-	// slot-sized buffer.
+	// slot-sized buffer. In delta mode it is at least one diff granule.
 	ChunkBytes int
 	// DRAMBudget is M, the total staging DRAM. The pool holds
 	// DRAMBudget/ChunkBytes chunks (at least one). Zero defaults to
@@ -143,6 +143,10 @@ func (c Config) withDefaults() Config {
 		c.DRAMBudget = 2 * c.SlotBytes
 	}
 	c = c.deltaDefaults()
+	if c.DeltaKeyframe > 0 {
+		// A delta pass diffs whole granules inside one chunk.
+		c.ChunkBytes = max(c.ChunkBytes, deltaGranularity(c.SlotBytes))
+	}
 	c.Retry = c.Retry.withDefaults()
 	return c
 }

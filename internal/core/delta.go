@@ -26,6 +26,14 @@
 // when VerifyPayload is on, and by the protocol ordering (payload persists
 // before the header, the header before the pointer record) otherwise.
 //
+// Encoding is one pass through the save's chunk pipeline: each source
+// range is read once into a DRAM chunk, its granules are hashed there
+// (hash/maphash, engine-private seed) and only the dirty ones go to the
+// writers, at their record offset; header and bitmap are written last.
+// The 64-bit hashes live in memory only; a keyframe rebuilds them after
+// Open. A collision (odds 2⁻⁶⁴ per changed granule, as for FNV-64) would
+// drop a changed granule; a fed DirtyTracker needs no hashes.
+//
 // Every K-th save is forced to be a full keyframe, bounding recovery to
 // one keyframe read plus at most K delta applications, and bounding the
 // pinned slot set to K+1.
@@ -34,8 +42,10 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"hash/maphash"
 	"math"
 	"math/bits"
 	"sync"
@@ -61,17 +71,7 @@ const (
 // bitmap and per-chunk hash state stay negligible (≤ 1024 chunks ⇒ 128 B
 // bitmap, 8 KiB of hashes).
 func deltaGranularity(slotBytes int64) int {
-	g := slotBytes / 1024
-	if rem := g % 64; rem != 0 {
-		g += 64 - rem
-	}
-	if g < 64 {
-		g = 64
-	}
-	if g > 64<<10 {
-		g = 64 << 10
-	}
-	return int(g)
+	return int(min(max((slotBytes/1024+63)/64*64, 64), 64<<10))
 }
 
 // ceilDiv returns ceil(a/b) for positive b.
@@ -79,42 +79,11 @@ func ceilDiv(a int64, b int) int {
 	return int((a + int64(b) - 1) / int64(b))
 }
 
-// chunkHashes returns the FNV-1a 64 hash of each granularity-sized chunk
-// of p (the last chunk may be short). FNV is not collision-proof; a silent
-// collision would drop a changed chunk from a delta. The crash sweep's
-// byte-equality oracle bounds that risk in testing, and trainers that
-// cannot tolerate it feed the DirtyTracker instead (explicit marks never
-// consult hashes).
-func chunkHashes(p []byte, gran int) []uint64 {
-	n := ceilDiv(int64(len(p)), gran)
-	hs := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		lo := i * gran
-		hi := lo + gran
-		if hi > len(p) {
-			hi = len(p)
-		}
-		hs[i] = fnv64a(p[lo:hi])
-	}
-	return hs
-}
-
-func fnv64a(p []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
-}
-
 // DirtyTracker accumulates the byte ranges a trainer touched since the
-// last checkpoint, so delta encoding can skip hashing entirely. The
-// checkpointer consumes the accumulated marks at each save.
+// last checkpoint, so the delta pass hashes only marked granules and takes
+// the rest as clean. Unfed, it hashes every granule and compares the
+// 64-bit hashes with the tip's in-memory table. The checkpointer consumes
+// the accumulated marks at each save.
 //
 // Coherence contract: marks are trusted. Between two Checkpoint calls the
 // trainer must MarkRange every byte it mutated, and must feed marks from
@@ -161,7 +130,7 @@ func (t *DirtyTracker) MarkRange(off, n int64) {
 }
 
 // MarkAll records that the whole payload may have changed — the next save
-// diffs nothing and persists a keyframe-equivalent delta or a keyframe.
+// is a keyframe, taken without a diff.
 func (t *DirtyTracker) MarkAll() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -197,116 +166,145 @@ func (t *DirtyTracker) restore(ranges [][2]int64, all, fed bool) {
 	t.ranges = append(t.ranges, ranges...)
 }
 
-// dirtySet is one save's diff decision: which chunks to persist and the
-// refreshed per-chunk hash state.
-type dirtySet struct {
-	dirty  []bool
-	hashes []uint64
+// errNotSmaller stops a delta pass whose record has grown to the payload
+// size; the save restarts as a keyframe in the same unpublished slot.
+var errNotSmaller = errors.New("core: delta record not smaller than a keyframe")
+
+// deltaPass carries one delta-mode save through the writePayload producer,
+// which calls encode on each chunk as it is read. A keyframe pass (old ==
+// nil) stores chunks as read and only seeds the hash table; a delta pass
+// keeps the dirty granules, at their record offsets, and seal finishes the
+// header and bitmap once every chunk has passed.
+type deltaPass struct {
+	seed   maphash.Seed
+	gran   int
+	size   int64
+	base   uint64   // the tip's counter, the record's chain predecessor
+	old    []uint64 // the tip's hash table; nil makes the pass a keyframe
+	forced []bool   // dirty whatever the content: marked, or past a size change
+	marked bool     // fed tracker: unforced granules are clean and not hashed
+	hashes []uint64 // the new hash table, filled as chunks pass
+	head   []byte   // record header + bitmap
+	pos    int64    // record length so far
 	ndirty int
 }
 
-// computeDirty decides which chunks of buf changed since the previous
-// checkpoint (whose size was lastSize and whose chunk hashes are
-// oldHashes). With a fed tracker the marks are trusted and only marked
-// chunks are rehashed; otherwise every chunk is hashed and diffed.
+// diff turns the pass into a delta against the tip: counter base, hash
+// table old, logical size lastSize. With a fed tracker the marks are
+// trusted and only marked granules are hashed; otherwise every granule is
+// hashed and compared.
 //
-// Boundary rule: when the payload length changed, every chunk from
+// Boundary rule: when the payload length changed, every granule from
 // min(size, lastSize)/gran onward is dirty regardless of marks or hashes.
 // Growth appends bytes no mark covers (the old image simply ended), and
-// shrinkage re-shapes the final partial chunk; both tails must travel with
-// the delta for apply to reconstruct the exact new length.
-func computeDirty(buf []byte, gran int, lastSize int64, oldHashes []uint64, marks [][2]int64, all, fed bool) dirtySet {
-	size := int64(len(buf))
-	nchunk := ceilDiv(size, gran)
-	dirty := make([]bool, nchunk)
-
-	if size != lastSize {
-		from := min(size, lastSize) / int64(gran)
-		for i := int(from); i < nchunk; i++ {
-			dirty[i] = true
+// shrinkage re-shapes the final partial granule; both tails must travel
+// with the delta for apply to reconstruct the exact new length.
+//
+// The pass stays a keyframe when the forced granules alone already make
+// the record at least as large as the payload.
+func (p *deltaPass) diff(base uint64, old []uint64, lastSize int64, marks [][2]int64, all, fed bool) {
+	n := len(p.hashes)
+	forced := make([]bool, n)
+	hdr := int64(deltaHdrSize + (n+7)/8)
+	rec := hdr                     // the record's least length
+	mark := func(from, to int64) { // every granule overlapping [from, to)
+		for i := int(from / int64(p.gran)); from < to && i < n && int64(i)*int64(p.gran) < to; i++ {
+			if !forced[i] {
+				forced[i], rec = true, rec+int64(chunkLen(p.size, p.gran, i))
+			}
 		}
 	}
-
-	var hashes []uint64
+	if all {
+		mark(0, p.size)
+	}
+	if p.size != lastSize {
+		mark(min(p.size, lastSize)/int64(p.gran)*int64(p.gran), p.size)
+	}
 	if fed && !all {
 		for _, r := range marks {
-			off, n := r[0], r[1]
-			if off < 0 {
-				n += off
-				off = 0
-			}
-			if n <= 0 || off >= size {
-				continue
-			}
-			end := off + n
-			if end > size {
-				end = size
-			}
-			for i := int(off / int64(gran)); i < nchunk && int64(i)*int64(gran) < end; i++ {
-				dirty[i] = true
-			}
-		}
-		// Refresh hash state only for the chunks being persisted; clean
-		// chunks keep their prior hashes (trusted-marks mode is documented
-		// as such on DirtyTracker).
-		hashes = make([]uint64, nchunk)
-		copy(hashes, oldHashes)
-		for i, d := range dirty {
-			if d {
-				lo := i * gran
-				hi := min(lo+gran, int(size))
-				hashes[i] = fnv64a(buf[lo:hi])
-			}
-		}
-	} else {
-		hashes = chunkHashes(buf, gran)
-		for i := range dirty {
-			if all || i >= len(oldHashes) || hashes[i] != oldHashes[i] {
-				dirty[i] = true
-			}
+			mark(max(r[0], 0), min(r[0]+r[1], p.size))
 		}
 	}
-
-	nd := 0
-	for _, d := range dirty {
-		if d {
-			nd++
-		}
+	if rec >= p.size {
+		return
 	}
-	return dirtySet{dirty: dirty, hashes: hashes, ndirty: nd}
+	p.base, p.old, p.forced, p.marked, p.pos = base, old, forced, fed && !all, hdr
+	p.head = make([]byte, hdr)
+	binary.LittleEndian.PutUint32(p.head[0:], deltaMagic)
+	binary.LittleEndian.PutUint32(p.head[4:], deltaVersion)
+	binary.LittleEndian.PutUint64(p.head[8:], base)
+	binary.LittleEndian.PutUint64(p.head[16:], uint64(p.size))
+	binary.LittleEndian.PutUint32(p.head[24:], uint32(p.gran))
+	binary.LittleEndian.PutUint32(p.head[28:], uint32(n))
 }
 
-// encodeDelta serializes a delta record for payload against the
-// checkpoint baseCounter.
-func encodeDelta(payload []byte, baseCounter uint64, gran int, ds dirtySet) []byte {
-	nchunk := len(ds.dirty)
-	bmLen := (nchunk + 7) / 8
-	total := deltaHdrSize + bmLen
-	for i, d := range ds.dirty {
-		if d {
-			total += chunkLen(int64(len(payload)), gran, i)
-		}
-	}
-	rec := make([]byte, total)
-	binary.LittleEndian.PutUint32(rec[0:], deltaMagic)
-	binary.LittleEndian.PutUint32(rec[4:], deltaVersion)
-	binary.LittleEndian.PutUint64(rec[8:], baseCounter)
-	binary.LittleEndian.PutUint64(rec[16:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(rec[24:], uint32(gran))
-	binary.LittleEndian.PutUint32(rec[28:], uint32(nchunk))
-	binary.LittleEndian.PutUint32(rec[32:], uint32(ds.ndirty))
-	bm := rec[deltaHdrSize : deltaHdrSize+bmLen]
-	pos := deltaHdrSize + bmLen
-	for i, d := range ds.dirty {
-		if !d {
+// encode runs the pass over buf, the payload bytes at off, and returns
+// the record offset and length of what the writers must store from the
+// front of buf. A keyframe stores buf as read. A delta moves its dirty
+// granules to the front and sets their bitmap bits; it fails with
+// errNotSmaller before the record reaches the payload size, so no delta
+// write ever lands past it.
+func (p *deltaPass) encode(buf []byte, off int64) (int64, int, error) {
+	n := 0
+	for lo, i := 0, int(off/int64(p.gran)); lo < len(buf); lo, i = lo+p.gran, i+1 {
+		g := buf[lo:min(lo+p.gran, len(buf))]
+		if p.marked && !p.forced[i] {
+			p.hashes[i] = p.old[i]
 			continue
 		}
-		bm[i/8] |= 1 << (i % 8)
-		lo := i * gran
-		pos += copy(rec[pos:], payload[lo:min(lo+gran, len(payload))])
+		p.hashes[i] = maphash.Bytes(p.seed, g)
+		if p.old == nil || (!p.forced[i] && i < len(p.old) && p.hashes[i] == p.old[i]) {
+			continue
+		}
+		p.head[deltaHdrSize+i/8] |= 1 << (i % 8)
+		p.ndirty++
+		n += copy(buf[n:], g)
 	}
-	binary.LittleEndian.PutUint32(rec[36:], deltaCRC(rec))
-	return rec
+	if p.old == nil {
+		return off, len(buf), nil
+	}
+	if p.pos += int64(n); p.pos >= p.size {
+		return 0, 0, errNotSmaller
+	}
+	return p.pos - int64(n), n, nil
+}
+
+// seal completes the record header once every chunk has passed.
+func (p *deltaPass) seal() []byte {
+	binary.LittleEndian.PutUint32(p.head[32:], uint32(p.ndirty))
+	binary.LittleEndian.PutUint32(p.head[36:], deltaCRC(p.head))
+	return p.head
+}
+
+// crc32Combine returns the IEEE CRC32 of a‖b from crcA = CRC32(a),
+// crcB = CRC32(b) and lenB = len(b), as zlib's crc32_combine does: crcA
+// times x^(8·lenB) modulo the polynomial, plus crcB. It lets the slot's
+// payload CRC cover a record whose header is written after its data.
+func crc32Combine(crcA, crcB uint32, lenB int64) uint32 {
+	p, sq := uint32(1)<<31, uint32(1)<<23 // x^0 and x^8, bit-reflected
+	for ; lenB > 0; lenB >>= 1 {
+		if lenB&1 != 0 {
+			p = gf2Mul(sq, p)
+		}
+		sq = gf2Mul(sq, sq)
+	}
+	return gf2Mul(p, crcA) ^ crcB
+}
+
+// gf2Mul multiplies two bit-reflected polynomials modulo the IEEE one.
+func gf2Mul(a, b uint32) uint32 {
+	var p uint32
+	for m := uint32(1) << 31; m != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ crc32.IEEE
+		} else {
+			b >>= 1
+		}
+	}
+	return p
 }
 
 // deltaCRC covers the header (minus the CRC field itself) and the bitmap.
@@ -323,14 +321,7 @@ func bitmapLen(rec []byte) int {
 
 // chunkLen is the byte length of chunk i of a fullSize-byte payload.
 func chunkLen(fullSize int64, gran, i int) int {
-	l := fullSize - int64(i)*int64(gran)
-	if l > int64(gran) {
-		l = int64(gran)
-	}
-	if l < 0 {
-		l = 0
-	}
-	return int(l)
+	return int(min(max(fullSize-int64(i)*int64(gran), 0), int64(gran)))
 }
 
 // deltaRecord is a decoded, validated delta record. chunks[j] is the
@@ -417,11 +408,13 @@ func decodeDelta(rec []byte) (deltaRecord, error) {
 // an unfed tracker leaves the engine on content-hash fallback.
 func (c *Checkpointer) DirtyTracker() *DirtyTracker { return c.tracker }
 
-// checkpointDelta is the delta-mode save path. Saves are serialized under
-// deltaMu — each one is diffed against the previous — so the CAS machinery
-// of the concurrent path collapses to a plain publish: the tip only ever
-// moves forward, one save at a time. Concurrent Checkpoint callers queue
-// on the mutex (the paper's slot-wait, one level up).
+// checkpointDelta is the delta-mode save: the keyframe/delta decision and
+// the chain publish around the slot steps every save shares. Saves are
+// serialized under deltaMu — each one is diffed against the previous — so
+// the CAS machinery of the concurrent path collapses to a plain publish:
+// the tip only ever moves forward, one save at a time. Concurrent
+// Checkpoint callers queue on the mutex (the paper's slot-wait, one level
+// up).
 func (c *Checkpointer) checkpointDelta(ctx context.Context, src Source) (uint64, error) {
 	c.deltaMu.Lock()
 	defer c.deltaMu.Unlock()
@@ -429,104 +422,32 @@ func (c *Checkpointer) checkpointDelta(ctx context.Context, src Source) (uint64,
 	start := time.Now()
 	obsStart := c.obsNow()
 	size := src.Size()
-
-	// Delta mode stages the whole payload in DRAM (bounded by SlotBytes):
-	// diffing and encoding need random access to it.
-	buf := make([]byte, size)
-	if size > 0 {
-		if err := src.ReadInto(buf, 0); err != nil {
-			c.stats.FailedSaves.Add(1)
-			c.instant(obs.PhaseSaveFailed, 0, -1, 0, 0)
-			return 0, err
-		}
-	}
 	marks, all, fed := c.tracker.take()
-	restoreMarks := func() { c.tracker.restore(marks, all, fed) }
-
 	counter := c.gCounter.Add(1)
-	gran := deltaGranularity(c.sb.slotBytes)
 
-	// Decide delta vs keyframe. A save is a delta candidate when there is
-	// hash state to diff against, the chain has room under K, and the
-	// DeltaEvery cadence selects it; it still falls back to a keyframe when
-	// the encoded record wouldn't actually save bytes (e.g. a dense update,
-	// or a payload so small the record overhead dominates).
+	// A save is a delta candidate when there is hash state to diff against,
+	// the chain has room under K, and the DeltaEvery cadence selects it;
+	// the pass still restarts as a keyframe when the record would not
+	// actually save bytes (e.g. a dense update, or a payload so small the
+	// record overhead dominates).
 	c.saveSeq++
-	kind := uint8(slotKindFull)
-	var (
-		stored []byte // the bytes persisted to the slot
-		base   uint64
-		hashes []uint64
-	)
-	candidate := c.hashes != nil && c.deltasSince < c.cfg.DeltaKeyframe &&
-		(c.cfg.DeltaEvery <= 1 || c.saveSeq%uint64(c.cfg.DeltaEvery) == 0)
-	encStart := c.obsNow()
-	if candidate {
-		ds := computeDirty(buf, gran, c.lastSize, c.hashes, marks, all, fed)
-		hashes = ds.hashes
-		tip := c.chain[len(c.chain)-1]
-		rec := encodeDelta(buf, tip.counter, gran, ds)
-		if int64(len(rec)) < size && int64(len(rec)) <= c.sb.slotBytes {
-			stored, kind, base = rec, slotKindDelta, tip.counter
-		}
-	} else {
-		hashes = chunkHashes(buf, gran)
+	gran := deltaGranularity(c.sb.slotBytes)
+	dp := &deltaPass{seed: c.hashSeed, gran: gran, size: size, hashes: make([]uint64, ceilDiv(size, gran))}
+	if c.hashes != nil && c.deltasSince < c.cfg.DeltaKeyframe &&
+		(c.cfg.DeltaEvery <= 1 || c.saveSeq%uint64(c.cfg.DeltaEvery) == 0) {
+		dp.diff(c.chain[len(c.chain)-1].counter, c.hashes, c.lastSize, marks, all, fed)
 	}
-	if kind == slotKindDelta {
-		c.span(obs.PhaseDeltaEncode, encStart, counter, -1, int64(len(stored)), size)
-	} else {
-		stored = buf
-	}
-
-	slotWaitStart := c.obsNow()
-	slot, waited, err := c.acquireSlot(ctx)
+	cur, err := c.writeSlot(ctx, src, counter, dp)
 	if err != nil {
-		restoreMarks()
-		c.stats.FailedSaves.Add(1)
-		c.instant(obs.PhaseSaveFailed, counter, -1, 0, 0)
+		c.tracker.restore(marks, all, fed)
 		return 0, err
 	}
-	if waited {
-		c.stats.SlotWaits.Add(1)
-		if c.dec != nil && slotWaitStart != 0 {
-			c.recordSlotWait(counter, time.Duration(time.Now().UnixNano()-slotWaitStart))
-		}
-	}
-	var didWait int64
-	if waited {
-		didWait = 1
-	}
-	c.span(obs.PhaseSlotWait, slotWaitStart, counter, slot, 0, didWait)
-	c.slotSeq[slot].Add(1) // odd: slot contents unstable
-
-	payloadCRC, err := c.writePayload(ctx, slot, BytesSource(stored), counter)
-	if err != nil {
-		restoreMarks()
-		c.failSlot(slot, counter)
-		return 0, err
-	}
-	hdrStart := c.obsNow()
-	hdr := slotHeader{
-		counter: counter, size: int64(len(stored)), payloadCRC: payloadCRC,
-		hasCRC: c.cfg.VerifyPayload, epoch: c.sb.epoch,
-		kind: kind, base: base, fullSize: size,
-	}
-	if err := c.retryIO(ctx, func() error {
-		return c.dev.Persist(encodeSlotHeader(hdr), slotBase(c.sb, slot))
-	}); err != nil {
-		restoreMarks()
-		c.failSlot(slot, counter)
-		return 0, err
-	}
-	c.span(obs.PhaseHeader, hdrStart, counter, slot, slotHeaderSize, 0)
-	c.slotSeq[slot].Add(1) // even: slot stable until recycled
 
 	// Publish. Serialized saves mean no CAS loop and no obsolete outcome:
 	// the tip is ours by construction.
-	cur := &checkMeta{slot: slot, counter: counter, size: int64(len(stored)), kind: kind, base: base, fullSize: size}
 	oldChain := c.chain
 	c.checkAddr.Store(cur)
-	if kind == slotKindDelta {
+	if cur.kind == slotKindDelta {
 		c.chain = append(c.chain, *cur)
 		c.deltasSince++
 	} else {
@@ -536,13 +457,13 @@ func (c *Checkpointer) checkpointDelta(ctx context.Context, src Source) (uint64,
 	// The tip moved, so the diff state follows it even if the pointer
 	// record below fails — the next save diffs against what is in the
 	// slots, not against what is durably pointed at.
-	c.hashes = hashes
+	c.hashes = dp.hashes
 	c.lastSize = size
 
 	barrierStart := c.obsNow()
 	rerr := c.persistRecord(ctx, *cur)
-	c.span(obs.PhaseBarrier, barrierStart, counter, slot, 0, 0)
-	if kind == slotKindFull {
+	c.span(obs.PhaseBarrier, barrierStart, counter, cur.slot, 0, 0)
+	if cur.kind == slotKindFull {
 		// A keyframe supersedes the whole previous chain. If the record
 		// failed, the durable pointer may still reference the old chain —
 		// park its slots until a newer record lands (same invariant as the
@@ -559,22 +480,22 @@ func (c *Checkpointer) checkpointDelta(ctx context.Context, src Source) (uint64,
 		// Delta case: nothing is freed — the old record points into a chain
 		// prefix whose slots are all still pinned in c.chain.
 		c.stats.FailedSaves.Add(1)
-		c.instant(obs.PhaseSaveFailed, counter, slot, 0, 0)
+		c.instant(obs.PhaseSaveFailed, counter, cur.slot, 0, 0)
 		return 0, rerr
 	}
 
 	c.stats.Checkpoints.Add(1)
 	c.stats.BytesWritten.Add(size)
-	c.stats.BytesPersisted.Add(int64(len(stored)))
+	c.stats.BytesPersisted.Add(cur.size)
 	c.stats.PersistNanos.Add(int64(time.Since(start)))
-	if kind == slotKindDelta {
+	if cur.kind == slotKindDelta {
 		c.stats.DeltaSaves.Add(1)
 	} else {
 		c.stats.KeyframeSaves.Add(1)
-		c.instant(obs.PhaseKeyframe, counter, slot, size, 0)
+		c.instant(obs.PhaseKeyframe, counter, cur.slot, size, 0)
 	}
-	c.instant(obs.PhasePublish, counter, slot, int64(len(stored)), size)
-	c.span(obs.PhaseSave, obsStart, counter, slot, int64(len(stored)), 0)
+	c.instant(obs.PhasePublish, counter, cur.slot, cur.size, size)
+	c.span(obs.PhaseSave, obsStart, counter, cur.slot, cur.size, 0)
 	return counter, nil
 }
 

@@ -3,7 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"pccheck/internal/storage"
@@ -17,6 +22,56 @@ func deltaEngine(t *testing.T, cfg Config) (*Checkpointer, storage.Device) {
 		t.Fatal(err)
 	}
 	return c, dev
+}
+
+// encodeDelta is the test oracle for the engine's one-pass encoder: it
+// serializes payload's dirty granules as a whole delta record against the
+// checkpoint baseCounter.
+func encodeDelta(payload []byte, baseCounter uint64, gran int, dirty []bool) []byte {
+	nchunk := len(dirty)
+	bmLen := (nchunk + 7) / 8
+	rec := make([]byte, deltaHdrSize+bmLen, deltaHdrSize+bmLen+len(payload))
+	binary.LittleEndian.PutUint32(rec[0:], deltaMagic)
+	binary.LittleEndian.PutUint32(rec[4:], deltaVersion)
+	binary.LittleEndian.PutUint64(rec[8:], baseCounter)
+	binary.LittleEndian.PutUint64(rec[16:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(rec[24:], uint32(gran))
+	binary.LittleEndian.PutUint32(rec[28:], uint32(nchunk))
+	ndirty := 0
+	for i, d := range dirty {
+		if !d {
+			continue
+		}
+		ndirty++
+		rec[deltaHdrSize+i/8] |= 1 << (i % 8)
+		lo := i * gran
+		rec = append(rec, payload[lo:min(lo+gran, len(payload))]...)
+	}
+	binary.LittleEndian.PutUint32(rec[32:], uint32(ndirty))
+	binary.LittleEndian.PutUint32(rec[36:], deltaCRC(rec))
+	return rec
+}
+
+// oracleDirty is the diff rule by direct comparison rather than hashes:
+// every granule past a size change, every granule on MarkAll, and the rest
+// by marks when the tracker was fed, by comparing bytes with prev when not.
+func oracleDirty(prev, next []byte, gran int, marks [][2]int64, all, fed bool) []bool {
+	size := len(next)
+	dirty := make([]bool, ceilDiv(int64(size), gran))
+	for i := range dirty {
+		lo, hi := i*gran, min((i+1)*gran, size)
+		switch {
+		case all || len(prev) != size && hi > min(len(prev), size)/gran*gran:
+			dirty[i] = true
+		case fed:
+			for _, r := range marks {
+				dirty[i] = dirty[i] || r[1] > 0 && r[0] < int64(hi) && r[0]+r[1] > int64(lo)
+			}
+		default:
+			dirty[i] = !bytes.Equal(prev[lo:hi], next[lo:hi])
+		}
+	}
+	return dirty
 }
 
 func TestDeltaGranularityBounds(t *testing.T) {
@@ -53,8 +108,7 @@ func TestDeltaEncodeDecodeApply(t *testing.T) {
 			span := 1 + rng.Intn(min(64, n-off))
 			rng.Read(next[off : off+span])
 		}
-		ds := computeDirty(next, gran, int64(n), chunkHashes(base, gran), nil, false, false)
-		rec := encodeDelta(next, 7, gran, ds)
+		rec := encodeDelta(next, 7, gran, oracleDirty(base, next, gran, nil, false, false))
 		d, err := decodeDelta(rec)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
@@ -77,8 +131,7 @@ func TestDeltaApplyAcrossSizeChange(t *testing.T) {
 	for _, sizes := range [][2]int{{1000, 1500}, {1500, 1000}, {64, 65}, {65, 64}, {1, 4000}, {4000, 1}} {
 		base := payload(1, sizes[0])
 		next := payload(2, sizes[1])
-		ds := computeDirty(next, gran, int64(len(base)), chunkHashes(base, gran), nil, false, false)
-		d, err := decodeDelta(encodeDelta(next, 3, gran, ds))
+		d, err := decodeDelta(encodeDelta(next, 3, gran, oracleDirty(base, next, gran, nil, false, false)))
 		if err != nil {
 			t.Fatalf("%v: decode: %v", sizes, err)
 		}
@@ -94,8 +147,7 @@ func TestDeltaApplyAcrossSizeChange(t *testing.T) {
 
 func TestDeltaDecodeRejectsCorruption(t *testing.T) {
 	p := payload(9, 1000)
-	ds := computeDirty(p, 64, 0, nil, nil, true, false)
-	rec := encodeDelta(p, 1, 64, ds)
+	rec := encodeDelta(p, 1, 64, oracleDirty(nil, p, 64, nil, true, false))
 	if _, err := decodeDelta(rec); err != nil {
 		t.Fatalf("pristine record rejected: %v", err)
 	}
@@ -320,6 +372,242 @@ func TestDeltaBytesPersistedReduction(t *testing.T) {
 	}
 }
 
+// TestDeltaRecordMatchesOracle saves a sequence that takes every diff
+// path — sparse updates, growth, shrink, an all-dirty update that falls
+// back to a keyframe — over chunk/granule geometries that do not line up,
+// with the tracker fed and unfed and payload CRCs on and off. The bytes in
+// each published slot must be exactly the whole-record oracle's.
+func TestDeltaRecordMatchesOracle(t *testing.T) {
+	geoms := []struct {
+		slot  int64
+		chunk int
+	}{
+		{64 << 10, 1000},    // granule 64; chunk not a multiple of it
+		{64 << 10, 32},      // chunk smaller than the granule
+		{1 << 20, 512},      // granule 1024, chunk smaller
+		{1 << 20, 3000},     // granule 1024, chunk not a multiple
+		{64 << 10, 1 << 20}, // chunk larger than the payload
+		{64 << 10, 0},       // unchunked
+	}
+	for _, g := range geoms {
+		for _, fed := range []bool{false, true} {
+			for _, verify := range []bool{false, true} {
+				name := fmt.Sprintf("slot=%d/chunk=%d/fed=%v/verify=%v", g.slot, g.chunk, fed, verify)
+				t.Run(name, func(t *testing.T) {
+					checkOracleSequence(t, Config{
+						Concurrent: 1, SlotBytes: g.slot, Writers: 3, ChunkBytes: g.chunk,
+						VerifyPayload: verify, DeltaEvery: 1, DeltaKeyframe: 8,
+					}, fed)
+				})
+			}
+		}
+	}
+}
+
+func checkOracleSequence(t *testing.T, cfg Config, fed bool) {
+	c, dev := deltaEngine(t, cfg)
+	defer c.Close()
+	ctx := context.Background()
+	gran := deltaGranularity(cfg.SlotBytes)
+	rng := rand.New(rand.NewSource(cfg.SlotBytes + int64(cfg.ChunkBytes)))
+	var marks [][2]int64
+	all := false
+	mutate := func(p []byte, off, n int) {
+		rng.Read(p[off : off+n])
+		marks = append(marks, [2]int64{int64(off), int64(n)})
+	}
+	steps := []struct {
+		name string
+		next func(p []byte) []byte
+	}{
+		{"sparse", func(p []byte) []byte { mutate(p, 17, 5); mutate(p, len(p)/2, 300); return p }},
+		{"grow", func(p []byte) []byte { mutate(p, 3*gran+1, 2); return append(p, payload(5, 1537)...) }},
+		{"shrink", func(p []byte) []byte { mutate(p, 0, 1); return p[:len(p)-2501] }},
+		{"all-dirty", func(p []byte) []byte { all = true; rng.Read(p); return p }},
+		{"tail", func(p []byte) []byte { mutate(p, len(p)-3, 3); return p }},
+		{"untouched", func(p []byte) []byte { return p }},
+	}
+	p := payload(1, int(cfg.SlotBytes/6)+7)
+	prevCtr, err := c.Checkpoint(ctx, BytesSource(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range steps {
+		prev := append([]byte(nil), p...)
+		marks, all = nil, false
+		p = st.next(p)
+		if fed {
+			for _, r := range marks {
+				c.DirtyTracker().MarkRange(r[0], r[1])
+			}
+			if all {
+				c.DirtyTracker().MarkAll()
+			}
+		}
+		ctr, err := c.Checkpoint(ctx, BytesSource(p))
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		want := encodeDelta(p, prevCtr, gran, oracleDirty(prev, p, gran, marks, all, fed && (len(marks) > 0 || all)))
+		wantKind := uint8(slotKindDelta)
+		if len(want) >= len(p) {
+			want, wantKind = p, slotKindFull
+		}
+		m := c.checkAddr.Load()
+		hb := make([]byte, slotHeaderSize)
+		got := make([]byte, m.size)
+		if err := dev.ReadAt(hb, slotBase(c.sb, m.slot)); err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.ReadAt(got, payloadBase(c.sb, m.slot)); err != nil {
+			t.Fatal(err)
+		}
+		hdr, ok := decodeSlotHeader(hb)
+		switch {
+		case !ok || hdr.counter != ctr || m.kind != wantKind || hdr.kind != wantKind:
+			t.Fatalf("%s: slot header %+v ok=%v, meta kind %d, want kind %d", st.name, hdr, ok, m.kind, wantKind)
+		case !bytes.Equal(got, want):
+			t.Fatalf("%s: stored %d bytes differ from the oracle's %d", st.name, len(got), len(want))
+		case cfg.VerifyPayload && hdr.payloadCRC != crc32.ChecksumIEEE(want):
+			t.Fatalf("%s: payload CRC %#x, want %#x", st.name, hdr.payloadCRC, crc32.ChecksumIEEE(want))
+		}
+		rec, _, err := Recover(dev)
+		if err != nil || !bytes.Equal(rec, p) {
+			t.Fatalf("%s: recover: %v", st.name, err)
+		}
+		prevCtr = ctr
+	}
+	if st := c.Stats(); st.DeltaSaves == 0 || st.KeyframeSaves < 2 {
+		t.Fatalf("deltas=%d keyframes=%d: the sequence should take both paths", st.DeltaSaves, st.KeyframeSaves)
+	}
+}
+
+// boundedDev fails writes that cross the end of a slot's payload area.
+type boundedDev struct {
+	storage.Device
+	slotBytes int64
+	mu        sync.Mutex
+	bad       []string
+}
+
+func (d *boundedDev) check(off int64, n int) {
+	limit := int64(headerSize)
+	if off >= headerSize {
+		stride := slotStride(d.slotBytes)
+		limit = headerSize + (off-headerSize)/stride*stride + slotHeaderSize + d.slotBytes
+	}
+	if off+int64(n) > limit {
+		d.mu.Lock()
+		d.bad = append(d.bad, fmt.Sprintf("write [%d,%d) past %d", off, off+int64(n), limit))
+		d.mu.Unlock()
+	}
+}
+
+func (d *boundedDev) WriteAt(p []byte, off int64) error {
+	d.check(off, len(p))
+	return d.Device.WriteAt(p, off)
+}
+
+func (d *boundedDev) Persist(p []byte, off int64) error {
+	d.check(off, len(p))
+	return d.Device.Persist(p, off)
+}
+
+// TestDeltaFallbackStaysInSlot: an all-dirty delta at size == SlotBytes
+// restarts as a keyframe, and neither pass writes past the slot.
+func TestDeltaFallbackStaysInSlot(t *testing.T) {
+	for _, verify := range []bool{false, true} {
+		cfg := Config{Concurrent: 1, SlotBytes: 40_000, Writers: 2, ChunkBytes: 4096, VerifyPayload: verify, DeltaEvery: 1, DeltaKeyframe: 4}
+		dev := &boundedDev{Device: storage.NewRAM(DeviceBytesFor(cfg)), slotBytes: cfg.SlotBytes}
+		c, err := New(dev, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := payload(1, int(cfg.SlotBytes))
+		for i := 0; i < 3; i++ {
+			if i > 0 {
+				rand.New(rand.NewSource(int64(100 + i))).Read(p)
+			}
+			if _, err := c.Checkpoint(context.Background(), BytesSource(p)); err != nil {
+				t.Fatal(err)
+			}
+			if len(dev.bad) > 0 {
+				t.Fatalf("save %d: %v", i, dev.bad)
+			}
+			if got, _, err := Recover(dev); err != nil || !bytes.Equal(got, p) {
+				t.Fatalf("save %d: recover: %v", i, err)
+			}
+		}
+		if st := c.Stats(); st.KeyframeSaves != 3 || st.DeltaSaves != 0 {
+			t.Fatalf("keyframes=%d deltas=%d, want 3 keyframes", st.KeyframeSaves, st.DeltaSaves)
+		}
+		c.Close()
+	}
+}
+
+// TestDeltaSaveAllocations bounds the Go heap a delta save allocates: a
+// small fraction of the payload, never a staging copy of it.
+func TestDeltaSaveAllocations(t *testing.T) {
+	const (
+		size  = 4 << 20
+		saves = 20
+	)
+	cfg := Config{
+		Concurrent: 1, SlotBytes: size, Writers: 2, ChunkBytes: 1 << 20,
+		VerifyPayload: true, DeltaEvery: 1, DeltaKeyframe: 8,
+	}
+	c, _ := deltaEngine(t, cfg)
+	defer c.Close()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(1))
+	p := make([]byte, size)
+	rng.Read(p)
+	if _, err := c.Checkpoint(ctx, BytesSource(p)); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < saves; i++ {
+		for r := 0; r < 32; r++ { // 5% of the state in 32 ranges
+			off := rng.Intn(size - size/20/32)
+			for j := off; j < off+size/20/32; j++ {
+				p[j] ^= byte(i + 1)
+			}
+		}
+		if _, err := c.Checkpoint(ctx, BytesSource(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / saves
+	t.Logf("%d B allocated per save of a %d B payload", per, size)
+	if per > size/16 {
+		t.Fatalf("a delta save allocates %d B, more than payload/16 = %d B", per, size/16)
+	}
+	if st := c.Stats(); st.DeltaSaves == 0 {
+		t.Fatal("no delta saves")
+	}
+}
+
+// TestCRC32Combine: combining the CRCs of two pieces equals the CRC of
+// their concatenation, for every split of random inputs.
+func TestCRC32Combine(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		buf := make([]byte, rng.Intn(3000))
+		rng.Read(buf)
+		cut := 0
+		if len(buf) > 0 {
+			cut = rng.Intn(len(buf) + 1)
+		}
+		a, b := buf[:cut], buf[cut:]
+		got := crc32Combine(crc32.ChecksumIEEE(a), crc32.ChecksumIEEE(b), int64(len(b)))
+		if want := crc32.ChecksumIEEE(buf); got != want {
+			t.Fatalf("split %d|%d: combined %#x, want %#x", len(a), len(b), got, want)
+		}
+	}
+}
+
 // TestDeltaCrashSweep runs the delta workloads of the sweep matrix under
 // simulated power cuts: the durable floor must never regress past the last
 // acknowledged checkpoint — which for a delta tip means the last complete
@@ -360,12 +648,11 @@ func TestDeltaCrashSweep(t *testing.T) {
 
 func FuzzDeltaDecode(f *testing.F) {
 	p := payload(1, 700)
-	ds := computeDirty(p, 64, 0, nil, nil, true, false)
-	f.Add(encodeDelta(p, 3, 64, ds))
+	f.Add(encodeDelta(p, 3, 64, oracleDirty(nil, p, 64, nil, true, false)))
 	base := payload(2, 700)
 	next := append([]byte(nil), base...)
 	copy(next[100:], payload(3, 80))
-	f.Add(encodeDelta(next, 9, 64, computeDirty(next, 64, 700, chunkHashes(base, 64), nil, false, false)))
+	f.Add(encodeDelta(next, 9, 64, oracleDirty(base, next, 64, nil, false, false)))
 	f.Add([]byte{})
 	f.Add(make([]byte, deltaHdrSize))
 	f.Fuzz(func(t *testing.T, rec []byte) {

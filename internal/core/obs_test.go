@@ -241,3 +241,49 @@ func TestNilObserverAddsNoAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaSaveAttribution: a delta-mode save reads its payload through
+// per-chunk copy spans exactly as a full save does, and its hashing and
+// diffing land in delta-encode spans — for the keyframe and the delta.
+func TestDeltaSaveAttribution(t *testing.T) {
+	rec := obs.NewRecorder(obs.DefaultCapacity)
+	cfg := Config{
+		Concurrent: 1, SlotBytes: 64 << 10, Writers: 2, ChunkBytes: 4096,
+		VerifyPayload: true, DeltaEvery: 1, DeltaKeyframe: 4, Observer: rec,
+	}
+	ck, err := New(storage.NewRAM(DeviceBytesFor(cfg)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+
+	payload := sparsePayload(3, 0, 50_000)
+	for i, kind := range []string{"keyframe", "delta"} {
+		if i > 0 {
+			mutateSparse(payload, 3, uint64(i))
+		}
+		rec.TakeEvents()
+		if _, err := ck.Checkpoint(context.Background(), BytesSource(payload)); err != nil {
+			t.Fatalf("%s save: %v", kind, err)
+		}
+		var copied int64
+		encodes := 0
+		for _, ev := range rec.TakeEvents() {
+			switch ev.Phase {
+			case obs.PhaseCopy:
+				copied += ev.Bytes
+			case obs.PhaseDeltaEncode:
+				encodes++
+			}
+		}
+		if copied != int64(len(payload)) {
+			t.Errorf("%s save: copy spans cover %d bytes, want the %d-byte payload", kind, copied, len(payload))
+		}
+		if encodes == 0 {
+			t.Errorf("%s save: no delta-encode span", kind)
+		}
+	}
+	if st := ck.Stats(); st.KeyframeSaves != 1 || st.DeltaSaves != 1 {
+		t.Fatalf("saved %d keyframes and %d deltas, want one of each", st.KeyframeSaves, st.DeltaSaves)
+	}
+}

@@ -106,9 +106,10 @@ const (
 	// validation — out-of-range rank, stale or duplicated round, unknown
 	// kind (instant). Rank is the claimed sender, Value the reason code.
 	PhaseFrameDropped
-	// PhaseDeltaEncode spans the diff + delta-record encode of a save that
-	// was stored as a delta. Bytes is the encoded record length, Value the
-	// logical payload size — their ratio is this save's delta ratio.
+	// PhaseDeltaEncode spans hashing, diffing and compacting one chunk of a
+	// delta-mode save, keyframes included. Bytes is what the chunk adds to
+	// the stored record, Value the chunk's logical bytes — summed over a
+	// save, their ratio is its delta ratio.
 	PhaseDeltaEncode
 	// PhaseKeyframe marks a delta-mode save published as a full keyframe
 	// (instant); Bytes is the payload size. Plain-mode saves never emit it.

@@ -17,7 +17,7 @@ import (
 //     end-to-end span, slot wait, header/sync/barrier persists and the
 //     publish/obsolete/cas-retry instants;
 //   - each slot gets a staging track ("slot <s> stage") with the chunk
-//     copy and chunk-wait spans, plus one track per writer lane
+//     copy, delta-encode and chunk-wait spans, plus one track per writer lane
 //     ("slot <s> writer <w>") with the per-chunk persist spans — a slot is
 //     owned by exactly one save at a time, so these never overlap;
 //   - retries and faults share a "faults+retries" track, the training
@@ -57,7 +57,7 @@ type chromeTrace struct {
 // trackOf assigns an event to its track and human-readable track name.
 func trackOf(ev Event) (int64, string) {
 	switch ev.Phase {
-	case PhaseCopy, PhaseChunkWait:
+	case PhaseCopy, PhaseChunkWait, PhaseDeltaEncode:
 		return tidSlotLo + int64(ev.Slot)*slotStride, fmt.Sprintf("slot %d stage", ev.Slot)
 	case PhasePersist:
 		return tidSlotLo + int64(ev.Slot)*slotStride + 1 + int64(ev.Writer),

@@ -58,7 +58,7 @@ const (
 	PhaseRankDead      = obs.PhaseRankDead      // rank 0 declared a rank dead (Value = cause)
 	PhaseRankRejoined  = obs.PhaseRankRejoined  // a dead rank came back / resynced
 	PhaseFrameDropped  = obs.PhaseFrameDropped  // a malformed or stale frame was discarded
-	PhaseDeltaEncode   = obs.PhaseDeltaEncode   // diffing + encoding a delta record
+	PhaseDeltaEncode   = obs.PhaseDeltaEncode   // hashing + diffing one chunk of a delta-mode save
 	PhaseKeyframe      = obs.PhaseKeyframe      // a full checkpoint published in delta mode
 	PhaseDecision      = obs.PhaseDecision      // a policy decision was recorded (Counter = decision seq)
 	PhaseCrashMark     = obs.PhaseCrashMark     // crash boundary in a merged forensic timeline
