@@ -39,11 +39,12 @@
 //	pccheck-inspect -scrub tier0.pcc tier1.pcc
 //
 // Exit status: 0 healthy, 1 read/decode failure, 2 usage, 3 the device
-// renders but is unhealthy (a pointer record recovery rejects, or a
-// published/chain payload fails its checksum). With multiple tiers, 3 means
-// *no* tier holds a recoverable checkpoint — a stale-but-intact replica
-// behind a dead primary is degraded durability, not an outage. With -scrub,
-// 0 means clean or fully healed and 3 means damage survived the sweep.
+// renders but is unhealthy (recovery rejects the newest pointer record: its
+// slot header, chain or, with -verify, payload is damaged). With multiple
+// tiers, 3 means *no* tier holds a recoverable checkpoint — a
+// stale-but-intact replica behind a dead primary is degraded durability,
+// not an outage. With -scrub, 0 means clean or fully healed and 3 means
+// damage survived the sweep.
 package main
 
 import (
@@ -342,15 +343,13 @@ func render(path string, rep core.Report) {
 			if s.EpochStale {
 				status += fmt.Sprintf(", STALE (format epoch %d)", s.Epoch)
 			}
-			if s.HasChecksum {
-				switch {
-				case s.PayloadOK == nil:
-					status += ", checksummed"
-				case *s.PayloadOK:
-					status += ", payload OK"
-				default:
-					status += ", PAYLOAD CORRUPT"
-				}
+			switch {
+			case s.PayloadOK != nil && !*s.PayloadOK:
+				status += ", PAYLOAD CORRUPT"
+			case s.PayloadOK != nil:
+				status += ", payload OK"
+			case s.HasChecksum:
+				status += ", checksummed"
 			}
 		}
 		marker := " "

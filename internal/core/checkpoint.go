@@ -279,7 +279,7 @@ func New(dev storage.Device, cfg Config) (*Checkpointer, error) {
 			return nil, err
 		}
 	}
-	return attach(dev, cfg, sb, nil, 0)
+	return attach(dev, cfg, sb, nil)
 }
 
 // nextEpoch picks the format generation for a fresh image: one past the
@@ -287,28 +287,23 @@ func New(dev storage.Device, cfg Config) (*Checkpointer, error) {
 // Deterministic (no clock or randomness), never 0 (the legacy value), and
 // guaranteed to differ from every epoch the old image's slot headers carry.
 func nextEpoch(dev storage.Device) uint64 {
-	head := make([]byte, 64)
-	if err := dev.ReadAt(head, superOff); err == nil {
-		if old, err := decodeSuperblock(head); err == nil {
-			e := old.epoch + 1
-			if e == 0 {
-				e = 1
-			}
-			return e
+	if old, err := readSuperblock(dev); err == nil {
+		e := old.epoch + 1
+		if e == 0 {
+			e = 1
 		}
+		return e
 	}
 	return 1
 }
 
 // Open attaches to a previously formatted device, recovering the latest
 // persisted checkpoint pointer (§4.2). The returned engine continues the
-// counter sequence past the recovered checkpoint.
+// counter sequence past the recovered checkpoint. The pointer resolves at
+// header level, so attach cost does not grow with payload size; payload
+// damage on a live engine is the scrubber's to find.
 func Open(dev storage.Device, cfg Config) (*Checkpointer, error) {
-	head := make([]byte, 64)
-	if err := dev.ReadAt(head, superOff); err != nil {
-		return nil, err
-	}
-	sb, err := decodeSuperblock(head)
+	sb, err := readSuperblock(dev)
 	if err != nil {
 		return nil, err
 	}
@@ -318,14 +313,14 @@ func Open(dev storage.Device, cfg Config) (*Checkpointer, error) {
 	cfg.Concurrent = sb.slots - 1 - sb.deltaKeyframe
 	cfg.SlotBytes = sb.slotBytes
 	cfg = cfg.withDefaults()
-	latest, loc, err := recoverPointer(dev, sb)
+	latest, err := resolvePointer(dev, sb, levelHeader)
 	if err != nil && err != ErrNoCheckpoint {
 		return nil, err
 	}
-	return attach(dev, cfg, sb, latest, loc)
+	return attach(dev, cfg, sb, latest)
 }
 
-func attach(dev storage.Device, cfg Config, sb superblock, latest *checkMeta, latestLoc int) (*Checkpointer, error) {
+func attach(dev storage.Device, cfg Config, sb superblock, latest *resolved) (*Checkpointer, error) {
 	pool, err := chunkpool.ForBudget(cfg.DRAMBudget, int64(cfg.ChunkBytes))
 	if err != nil {
 		return nil, err
@@ -344,20 +339,14 @@ func attach(dev storage.Device, cfg Config, sb superblock, latest *checkMeta, la
 	c.perWriterBW.Store(math.Float64bits(cfg.PerWriterBW))
 	pinned := make(map[int]bool)
 	if latest != nil {
-		pinned[latest.slot] = true // the published slot is never free (§4.1 invariant)
+		// The published slot and, in delta mode, every link of the chain
+		// it sits on are never free (§4.1 invariant).
+		for _, m := range latest.chain {
+			pinned[m.slot] = true
+		}
 		if sb.deltaKeyframe > 0 {
-			// Rebuild the keyframe→delta chain the recovered tip sits on;
-			// recoverPointer already validated it, so a failure here is real
-			// on-device damage. Every chain slot stays out of the free queue.
-			chain, err := chainMetas(dev, sb, *latest)
-			if err != nil {
-				return nil, err
-			}
-			for _, m := range chain {
-				pinned[m.slot] = true
-			}
-			c.chain = chain
-			c.deltasSince = len(chain) - 1
+			c.chain = latest.chain
+			c.deltasSince = len(latest.chain) - 1
 		}
 	}
 	for i := 0; i < sb.slots; i++ {
@@ -372,12 +361,13 @@ func attach(dev storage.Device, cfg Config, sb superblock, latest *checkMeta, la
 		c.hashSeed = maphash.MakeSeed()
 	}
 	if latest != nil {
-		c.checkAddr.Store(latest)
-		c.gCounter.Store(latest.counter)
-		c.recordHighest = latest.counter
+		tip := latest.tip
+		c.checkAddr.Store(&tip)
+		c.gCounter.Store(tip.counter)
+		c.recordHighest = tip.counter
 		// Resume the location ping-pong so the next record does not
 		// overwrite the one just recovered.
-		c.recordSeq = uint64(latestLoc) + 1
+		c.recordSeq = uint64(latest.loc) + 1
 	}
 	if sb.blackBoxBytes > 0 && obs.FindRecorder(cfg.Observer) != nil {
 		// The flusher appends after the newest surviving frame, so
@@ -969,7 +959,7 @@ func (c *Checkpointer) ReadLatest(dst []byte) (uint64, int64, error) {
 			runtime.Gosched()
 			continue
 		}
-		err := readSlotPayload(c.dev, c.sb, *m, dst[:m.size])
+		_, _, err := verifySlot(c.dev, c.sb, m.slot, slotWant{counter: m.counter, size: m.size, dst: dst}, levelPayload)
 		if c.slotSeq[m.slot].Load() != s1 {
 			runtime.Gosched()
 			continue // recycled mid-read; retry against the newer state
@@ -993,21 +983,20 @@ func (c *Checkpointer) ReadLatest(dst []byte) (uint64, int64, error) {
 
 // ReadVersion reads the checkpoint with the given counter if one of the
 // slots still holds it (see RecoverVersion). The per-slot seqlock rejects
-// reads torn by a concurrent checkpoint recycling the slot.
+// reads torn by a concurrent checkpoint recycling the slot; in delta mode
+// deltaMu holds saves off for the whole chain walk, so the first read
+// stands.
 func (c *Checkpointer) ReadVersion(counter uint64) ([]byte, error) {
 	if c.sb.deltaKeyframe > 0 {
 		c.deltaMu.Lock()
 		defer c.deltaMu.Unlock()
-		// Under deltaMu no save is mutating slots, so no seqlock dance: walk
-		// the requested version's chain straight off the device.
-		return recoverVersionDelta(c.dev, c.sb, counter)
 	}
 	for attempt := 0; attempt < 1000; attempt++ {
 		seqs := make([]uint64, len(c.slotSeq))
 		for i := range c.slotSeq {
 			seqs[i] = c.slotSeq[i].Load()
 		}
-		payload, slot, err := recoverVersionSlot(c.dev, counter)
+		payload, slot, err := recoverVersion(c.dev, c.sb, counter)
 		if err != nil {
 			return nil, err
 		}

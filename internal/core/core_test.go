@@ -581,15 +581,25 @@ func TestValidateSlotRejects(t *testing.T) {
 	if _, err := c.Checkpoint(context.Background(), BytesSource(payload(1, 100))); err != nil {
 		t.Fatal(err)
 	}
-	sb := superblock{slots: 2, slotBytes: 256}
-	if _, err := validateSlot(dev, sb, checkMeta{slot: 5, counter: 1, size: 100}); err == nil {
-		t.Fatal("out-of-range slot accepted")
-	}
-	if _, err := validateSlot(dev, sb, checkMeta{slot: 0, counter: 1, size: 999}); err == nil {
-		t.Fatal("oversized record accepted")
-	}
-	if _, err := validateSlot(dev, sb, checkMeta{slot: 0, counter: 77, size: 100}); err == nil {
-		t.Fatal("mismatched counter accepted")
+	sb, slot := c.sb, c.checkAddr.Load().slot
+	for _, level := range []verifyLevel{levelHeader, levelPayload} {
+		if _, _, err := verifySlot(dev, sb, slot, slotWant{counter: 1, size: 100}, level); err != nil {
+			t.Fatalf("level %d: intact slot rejected: %v", level, err)
+		}
+		if _, _, err := verifySlot(dev, sb, 5, slotWant{counter: 1, size: 100}, level); !errors.Is(err, errSlotRecycled) {
+			t.Fatalf("level %d: out-of-range slot accepted: %v", level, err)
+		}
+		if _, _, err := verifySlot(dev, sb, slot, slotWant{counter: 1, size: 999}, level); !errors.Is(err, errSlotRecycled) {
+			t.Fatalf("level %d: oversized record accepted: %v", level, err)
+		}
+		if _, _, err := verifySlot(dev, sb, slot, slotWant{counter: 77, size: 100}, level); !errors.Is(err, errSlotRecycled) {
+			t.Fatalf("level %d: mismatched counter accepted: %v", level, err)
+		}
+		stale := sb
+		stale.epoch++
+		if _, _, err := verifySlot(dev, stale, slot, slotWant{counter: 1, size: 100}, level); !errors.Is(err, errSlotRecycled) {
+			t.Fatalf("level %d: stale-epoch header accepted: %v", level, err)
+		}
 	}
 }
 

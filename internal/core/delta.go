@@ -511,7 +511,14 @@ func (c *Checkpointer) readLatestDelta(dst []byte) (uint64, int64, error) {
 	if int64(len(dst)) < m.logicalSize() {
 		return 0, 0, fmt.Errorf("%w: buffer %d < checkpoint %d", ErrBufferTooSmall, len(dst), m.logicalSize())
 	}
-	payload, err := reconstructPayload(c.dev, c.sb, c.chain)
+	payloads := make([][]byte, len(c.chain))
+	for i, link := range c.chain {
+		var err error
+		if _, payloads[i], err = verifySlot(c.dev, c.sb, link.slot, link.want(), levelPayload); err != nil {
+			return 0, 0, err
+		}
+	}
+	payload, err := applyChain(c.chain, payloads)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -14,7 +14,7 @@ import (
 	"pccheck/internal/storage"
 )
 
-func deltaEngine(t *testing.T, cfg Config) (*Checkpointer, storage.Device) {
+func deltaEngine(t testing.TB, cfg Config) (*Checkpointer, storage.Device) {
 	t.Helper()
 	dev := storage.NewRAM(DeviceBytesFor(cfg))
 	c, err := New(dev, cfg)
@@ -668,4 +668,50 @@ func FuzzDeltaDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// A tip whose payload fails its CRC is damage, not a checkpoint: Recover
+// falls back to the other pointer record (whose chain is intact) instead
+// of failing, in delta and full mode alike.
+func TestRecoverFallsBackPastCorruptTip(t *testing.T) {
+	for _, delta := range []bool{true, false} {
+		t.Run(fmt.Sprintf("delta=%v", delta), func(t *testing.T) {
+			cfg := Config{Concurrent: 1, SlotBytes: 8192, VerifyPayload: true}
+			if delta {
+				cfg.DeltaEvery, cfg.DeltaKeyframe = 1, 4
+			}
+			c, dev := deltaEngine(t, cfg)
+			p := sparsePayload(21, 0, 6000)
+			var prev []byte
+			for i := 0; i < 3; i++ { // keyframe + 2 deltas in delta mode
+				if i > 0 {
+					prev = append([]byte(nil), p...)
+					mutateSparse(p, 21, uint64(i))
+				}
+				if _, err := c.Checkpoint(context.Background(), BytesSource(p)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tip := *c.checkAddr.Load()
+			if delta && tip.kind != slotKindDelta {
+				t.Fatalf("tip kind %d, want a delta", tip.kind)
+			}
+			last := payloadBase(c.sb, tip.slot) + tip.size - 1
+			b := make([]byte, 1)
+			if err := dev.ReadAt(b, last); err != nil {
+				t.Fatal(err)
+			}
+			b[0] ^= 0xFF
+			if err := dev.WriteAt(b, last); err != nil {
+				t.Fatal(err)
+			}
+			got, ctr, err := Recover(dev)
+			if err != nil {
+				t.Fatalf("Recover: %v, want fallback to checkpoint 2", err)
+			}
+			if ctr != 2 || !bytes.Equal(got, prev) {
+				t.Fatalf("recovered counter %d (payload intact: %v), want 2", ctr, bytes.Equal(got, prev))
+			}
+		})
+	}
 }

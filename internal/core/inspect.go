@@ -1,7 +1,7 @@
 package core
 
 import (
-	"hash/crc32"
+	"errors"
 
 	"pccheck/internal/storage"
 )
@@ -37,8 +37,9 @@ type SlotInfo struct {
 	EpochStale bool
 	// HasChecksum reports whether the payload carries a CRC.
 	HasChecksum bool
-	// PayloadOK is set only when verify was requested and a checksum
-	// exists: true = the payload matches its CRC.
+	// PayloadOK is set when verify was requested for a live, untombstoned
+	// header: false = the payload is unreadable, fails its CRC or does not
+	// decode; true = it matches its CRC (unset when it has none).
 	PayloadOK *bool
 	// Published marks the slot the recovered pointer references.
 	Published bool
@@ -100,73 +101,65 @@ type Report struct {
 	Cursor *CursorInfo
 }
 
-// Healthy reports whether the device is in a state recovery can serve
-// confidently: either a checkpoint is recoverable with its payload (and,
-// for a delta tip, every chain link) intact, or the device is legitimately
-// empty — no pointer record claims a checkpoint. A valid record that
-// recovery nonetheless rejects (stale epoch, counter mismatch, broken
-// chain) and a published or chain slot whose verified payload fails its
-// CRC both make the report unhealthy; torn payloads in unpublished slots
-// are normal crash debris and do not.
+// Healthy reports whether recovery serves the newest valid pointer record,
+// or the device is legitimately empty (no record claims a checkpoint). The
+// newest record's slot and chain are never recycled until a newer record
+// is durable, so recovery rejecting it — a smashed header, a broken chain,
+// a tombstone or, when verified, an unreadable or corrupt payload — means
+// damage lost the newest checkpoint. Older records whose slots were
+// recycled, and torn payloads in unpublished slots, are normal crash debris.
 func (r Report) Healthy() bool {
-	if !r.Recoverable && (r.Records[0].Valid || r.Records[1].Valid) {
-		return false
-	}
-	for _, s := range r.SlotInfos {
-		if (s.Published || s.InChain) && s.PayloadOK != nil && !*s.PayloadOK {
+	for _, rec := range r.Records {
+		if rec.Valid && (!r.Recoverable || rec.Counter > r.Latest.Counter) {
 			return false
 		}
 	}
 	return true
 }
 
-// Inspect reads a formatted device's structures. With verify set, slot
-// payloads carrying checksums are read fully and validated (expensive for
-// large slots).
+// Inspect reads a formatted device's structures. With verify set, the
+// pointer resolves the way Recover does — at payload level, falling back
+// past a record whose payload fails verification — and every other live
+// slot's payload is read and verified too (expensive for large slots);
+// without it, the pointer resolves at header level the way Open does.
 func Inspect(dev storage.Device, verify bool) (Report, error) {
-	head := make([]byte, 64)
-	if err := dev.ReadAt(head, superOff); err != nil {
-		return Report{}, err
-	}
-	sb, err := decodeSuperblock(head)
+	sb, err := readSuperblock(dev)
 	if err != nil {
 		return Report{}, err
 	}
 	rep := Report{Slots: sb.slots, SlotBytes: sb.slotBytes, Epoch: sb.epoch, DeltaKeyframe: sb.deltaKeyframe}
-
-	for i, off := range []int64{recordAOff, recordBOff} {
-		buf := make([]byte, recordSize)
-		if err := dev.ReadAt(buf, off); err != nil {
-			return Report{}, err
-		}
-		if m, ok := decodeRecord(buf); ok {
+	recs, err := readRecords(dev)
+	if err != nil {
+		return Report{}, err
+	}
+	for i, m := range recs {
+		if m != nil {
 			rep.Records[i] = RecordInfo{Valid: true, Counter: m.counter, Slot: m.slot, Size: m.size}
 		}
 	}
 
-	latest, _, err := recoverPointer(dev, sb)
-	chainSlots := make(map[int]bool)
-	if err == nil {
+	scan := scanSlots(dev, sb)
+	level := levelHeader
+	if verify {
+		level = levelPayload
+	}
+	resolvedSlots := make(map[int]bool)
+	if latest, err := resolveRecords(scan, sb, recs, level); err == nil {
 		rep.Recoverable = true
-		rep.Latest = RecordInfo{Valid: true, Counter: latest.counter, Slot: latest.slot, Size: latest.size}
-		rep.LatestFullSize = latest.logicalSize()
-		if sb.deltaKeyframe > 0 {
-			// recoverPointer validated the chain, so this walk succeeds.
-			if chain, cerr := chainMetas(dev, sb, *latest); cerr == nil {
-				for _, m := range chain {
-					rep.Chain = append(rep.Chain, ChainLink{Counter: m.counter, Slot: m.slot, Kind: m.kind, Size: m.size})
-					chainSlots[m.slot] = true
-				}
+		rep.Latest = RecordInfo{Valid: true, Counter: latest.tip.counter, Slot: latest.tip.slot, Size: latest.tip.size}
+		rep.LatestFullSize = latest.tip.logicalSize()
+		for _, m := range latest.chain {
+			resolvedSlots[m.slot] = true
+			if sb.deltaKeyframe > 0 {
+				rep.Chain = append(rep.Chain, ChainLink{Counter: m.counter, Slot: m.slot, Kind: m.kind, Size: m.size})
 			}
 		}
-	} else if err != ErrNoCheckpoint {
-		return Report{}, err
 	}
 
 	for i := 0; i < sb.slots; i++ {
 		info := SlotInfo{Index: i}
 		buf := make([]byte, slotHeaderSize)
-		if err := dev.ReadAt(buf, slotBase(sb, i)); err != nil {
+		if err := scan.ReadAt(buf, slotBase(sb, i)); err != nil {
 			return Report{}, err
 		}
 		if hdr, ok := decodeSlotHeader(buf); ok {
@@ -182,10 +175,14 @@ func Inspect(dev storage.Device, verify bool) (Report, error) {
 				info.BaseCounter = hdr.base
 				info.FullSize = hdr.fullSize
 			}
-			if verify && hdr.hasCRC && hdr.size >= 0 && hdr.size <= sb.slotBytes {
-				payload := make([]byte, hdr.size)
-				if err := dev.ReadAt(payload, payloadBase(sb, i)); err == nil {
-					ok := crc32.ChecksumIEEE(payload) == hdr.payloadCRC
+			if verify {
+				// Slots the pointer resolution verified reuse its verdict.
+				var err error
+				if !resolvedSlots[i] {
+					_, _, err = verifySlot(scan, sb, i, slotWant{counter: hdr.counter, size: anySize}, levelPayload)
+				}
+				if !errors.Is(err, errSlotRecycled) && !errors.Is(err, errSlotQuarantined) && (err != nil || hdr.hasCRC) {
+					ok := err == nil
 					info.PayloadOK = &ok
 				}
 			}
@@ -193,15 +190,12 @@ func Inspect(dev storage.Device, verify bool) (Report, error) {
 		if rep.Recoverable && i == rep.Latest.Slot {
 			info.Published = true
 		}
-		info.InChain = chainSlots[i]
+		info.InChain = sb.deltaKeyframe > 0 && resolvedSlots[i]
 		rep.SlotInfos = append(rep.SlotInfos, info)
 	}
 
-	cbuf := make([]byte, 24)
-	if err := dev.ReadAt(cbuf, cursorOff); err == nil {
-		if c, ok := decodeCursor(cbuf); ok && c.counter != 0 {
-			rep.Cursor = &CursorInfo{Counter: c.counter, Position: c.position}
-		}
+	if c, ok := readCursor(dev); ok && c.counter != 0 {
+		rep.Cursor = &CursorInfo{Counter: c.counter, Position: c.position}
 	}
 	return rep, nil
 }

@@ -217,3 +217,68 @@ func TestReportHealthy(t *testing.T) {
 		t.Fatal("empty formatted device reported unhealthy")
 	}
 }
+
+// An unreadable published payload is damage verify must surface: the slot
+// reports PayloadOK=false and the device is unhealthy (pccheck-inspect
+// exits 3), matching Recover, which cannot serve it.
+func TestInspectFlagsUnreadablePublishedPayload(t *testing.T) {
+	fd := storage.NewFaultDevice(storage.NewRAM(DeviceBytes(1, 1024)))
+	c, err := New(fd, Config{Concurrent: 1, SlotBytes: 1024, VerifyPayload: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Checkpoint(context.Background(), BytesSource(payload(1, 800))); err != nil {
+		t.Fatal(err)
+	}
+	slot := c.checkAddr.Load().slot
+	fd.PoisonRead(payloadBase(c.sb, slot)+512, 64)
+	if _, _, err := Recover(fd); err == nil {
+		t.Fatal("Recover served an unreadable payload")
+	}
+	rep, err := Inspect(fd, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok := rep.SlotInfos[slot].PayloadOK; ok == nil || *ok {
+		t.Fatalf("unreadable published payload: PayloadOK = %v, want false", ok)
+	}
+	if rep.Healthy() {
+		t.Fatal("unreadable published payload reported healthy")
+	}
+	if rep, _ := Inspect(fd, false); !rep.Healthy() {
+		t.Fatal("unverified inspect cannot see payload damage, must stay healthy")
+	}
+}
+
+// With an older record to fall back to, a corrupt tip payload makes
+// verified inspection report what Recover serves — the fallback — and
+// flag the lost newest checkpoint as unhealthy.
+func TestInspectCorruptTipFallsBackUnhealthy(t *testing.T) {
+	dev := storage.NewRAM(DeviceBytes(1, 1024))
+	c, err := New(dev, Config{Concurrent: 1, SlotBytes: 1024, VerifyPayload: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := c.Checkpoint(context.Background(), BytesSource(payload(int64(i), 800))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tip := *c.checkAddr.Load()
+	if err := dev.WriteAt([]byte{0xEE}, payloadBase(c.sb, tip.slot)+10); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Inspect(dev, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Recoverable || rep.Latest.Counter != 1 {
+		t.Fatalf("latest = %+v, want the fallback to checkpoint 1", rep.Latest)
+	}
+	if ok := rep.SlotInfos[tip.slot].PayloadOK; ok == nil || *ok {
+		t.Fatalf("corrupt tip: PayloadOK = %v, want false", ok)
+	}
+	if rep.Healthy() {
+		t.Fatal("device that lost its newest checkpoint reported healthy")
+	}
+}

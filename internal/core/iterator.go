@@ -30,8 +30,10 @@ type RecoveryIterator struct {
 	dev       storage.Device
 	sb        superblock
 	meta      checkMeta
+	hdr       slotHeader
 	size      int64  // logical payload length
-	mem       []byte // reconstructed payload when the tip is a delta chain
+	mem       []byte // verified payload, when resolved at payload level
+	crc       uint32 // running CRC of the delivered prefix (streamed payloads)
 	pos       int64
 	chunk     int
 	logEveryN int64
@@ -52,11 +54,10 @@ func encodeCursor(c cursor) []byte {
 	return buf
 }
 
-func decodeCursor(buf []byte) (cursor, bool) {
-	if len(buf) < 24 {
-		return cursor{}, false
-	}
-	if binary.LittleEndian.Uint32(buf[16:]) != crc32.ChecksumIEEE(buf[:16]) {
+// readCursor reads the persisted cursor; ok is false when none decodes.
+func readCursor(dev deviceReader) (cursor, bool) {
+	buf := make([]byte, 24)
+	if dev.ReadAt(buf, cursorOff) != nil || binary.LittleEndian.Uint32(buf[16:]) != crc32.ChecksumIEEE(buf[:16]) {
 		return cursor{}, false
 	}
 	return cursor{
@@ -70,16 +71,23 @@ func decodeCursor(buf []byte) (cursor, bool) {
 // the cursor persists every logEvery bytes delivered (default: every
 // chunk). If a previous recovery of the same checkpoint left a cursor, the
 // iterator resumes from it.
+//
+// A delta-formatted device resolves the pointer at payload level: a delta
+// tip has no contiguous on-device payload, so the verified chain is
+// reconstructed once and chunks are served from memory (the cursor still
+// persists the delivery position). A full-mode pointer resolves at header
+// level and the payload is verified as it streams, by a running CRC the
+// Next that completes delivery checks, so a restore reads it once.
 func NewRecoveryIterator(dev storage.Device, chunkBytes int, logEvery int64) (*RecoveryIterator, error) {
-	head := make([]byte, 64)
-	if err := dev.ReadAt(head, superOff); err != nil {
-		return nil, err
-	}
-	sb, err := decodeSuperblock(head)
+	sb, err := readSuperblock(dev)
 	if err != nil {
 		return nil, err
 	}
-	meta, _, err := recoverPointer(dev, sb)
+	level := levelHeader
+	if sb.deltaKeyframe > 0 {
+		level = levelPayload
+	}
+	res, err := resolvePointer(dev, sb, level)
 	if err != nil {
 		return nil, err
 	}
@@ -92,34 +100,39 @@ func NewRecoveryIterator(dev storage.Device, chunkBytes int, logEvery int64) (*R
 	it := &RecoveryIterator{
 		dev:       dev,
 		sb:        sb,
-		meta:      *meta,
-		size:      meta.logicalSize(),
+		meta:      res.tip,
+		hdr:       res.hdr,
+		size:      res.tip.logicalSize(),
+		mem:       res.payload,
 		chunk:     chunkBytes,
 		logEveryN: logEvery,
 	}
-	if meta.kind == slotKindDelta {
-		// A delta tip has no contiguous on-device payload: reconstruct the
-		// chain once up front and serve chunks from memory. The cursor still
-		// persists, so a re-crashed restore resumes its *delivery* position
-		// (the re-read of the chain is device-sequential and cheap relative
-		// to the consumer-side restore the cursor protects).
-		chain, err := chainMetas(dev, sb, *meta)
-		if err != nil {
-			return nil, err
-		}
-		if it.mem, err = reconstructPayload(dev, sb, chain); err != nil {
-			return nil, err
-		}
-	}
 	// Resume a matching cursor; ignore cursors for other checkpoints.
-	buf := make([]byte, 24)
-	if err := dev.ReadAt(buf, cursorOff); err == nil {
-		if c, ok := decodeCursor(buf); ok && c.counter == meta.counter &&
-			c.position >= 0 && c.position <= it.size {
-			it.pos = c.position
+	if c, ok := readCursor(dev); ok && c.counter == it.meta.counter && c.position >= 0 && c.position <= it.size {
+		it.pos = c.position
+	}
+	if it.mem == nil && it.pos > 0 && it.pos < it.size {
+		// The running CRC must cover the prefix a previous run delivered.
+		if err := it.hashPrefix(); err != nil {
+			return nil, err
 		}
 	}
 	return it, nil
+}
+
+// hashPrefix folds the already-delivered payload prefix into the running
+// CRC, reading it once in chunk-sized pieces.
+func (it *RecoveryIterator) hashPrefix() error {
+	buf := make([]byte, min(int64(it.chunk), it.pos))
+	for off := int64(0); off < it.pos; {
+		p := buf[:min(int64(len(buf)), it.pos-off)]
+		if err := it.dev.ReadAt(p, payloadBase(it.sb, it.meta.slot)+off); err != nil {
+			return err
+		}
+		it.crc = crc32.Update(it.crc, crc32.IEEETable, p)
+		off += int64(len(p))
+	}
+	return nil
 }
 
 // Counter returns the checkpoint being restored.
@@ -138,7 +151,8 @@ func (it *RecoveryIterator) Done() bool { return it.pos >= it.size }
 
 // Next delivers the next chunk into p and durably advances the cursor per
 // the configured cadence. It returns the number of bytes delivered; n == 0
-// with nil error means the payload is exhausted.
+// with nil error means the payload is exhausted. The Next that would
+// complete a payload failing its CRC returns a storage.Corrupt error.
 func (it *RecoveryIterator) Next(p []byte) (int, error) {
 	if it.Done() {
 		return 0, nil
@@ -155,8 +169,19 @@ func (it *RecoveryIterator) Next(p []byte) (int, error) {
 	}
 	if it.mem != nil {
 		copy(p[:n], it.mem[it.pos:])
-	} else if err := it.dev.ReadAt(p[:n], payloadBase(it.sb, it.meta.slot)+it.pos); err != nil {
-		return 0, err
+	} else {
+		if err := it.dev.ReadAt(p[:n], payloadBase(it.sb, it.meta.slot)+it.pos); err != nil {
+			return 0, err
+		}
+		crc := crc32.Update(it.crc, crc32.IEEETable, p[:n])
+		if it.pos+int64(n) == it.size {
+			// On a mismatch the position and cursor stay put: a restore of
+			// corrupt bytes never completes.
+			if err := checkPayloadCRC(it.hdr, crc); err != nil {
+				return 0, err
+			}
+		}
+		it.crc = crc
 	}
 	it.pos += int64(n)
 	it.sinceLog += int64(n)
@@ -179,6 +204,7 @@ func (it *RecoveryIterator) persistCursor() error {
 func (it *RecoveryIterator) Reset() error {
 	it.pos = 0
 	it.sinceLog = 0
+	it.crc = 0
 	return it.persistCursor()
 }
 

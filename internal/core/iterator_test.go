@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"pccheck/internal/pmem"
@@ -225,5 +226,51 @@ func TestRecoveryIteratorCursorDurable(t *testing.T) {
 	}
 	if it2.Position() != 3000 {
 		t.Fatalf("cursor lost in crash: position %d", it2.Position())
+	}
+}
+
+// A streamed full-mode payload that fails its CRC must never complete: the
+// Next that would finish delivery fails classified corrupt, whether the
+// bad byte streams in this run or sat in a prefix a previous run delivered.
+func TestRecoveryIteratorRejectsCorruptPayload(t *testing.T) {
+	for _, resume := range []bool{false, true} {
+		t.Run(fmt.Sprintf("resume=%v", resume), func(t *testing.T) {
+			dev, _ := iteratorFixture(t, 3000)
+			first, err := NewRecoveryIterator(dev, 1024, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resume {
+				if _, err := first.Next(make([]byte, 1024)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Flip a bit inside the first KiB: already delivered when resuming.
+			off := payloadBase(first.sb, first.meta.slot) + 100
+			b := make([]byte, 1)
+			if err := dev.ReadAt(b, off); err != nil {
+				t.Fatal(err)
+			}
+			b[0] ^= 0x04
+			if err := dev.Persist(b, off); err != nil {
+				t.Fatal(err)
+			}
+			it, err := NewRecoveryIterator(dev, 1024, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 1024)
+			for i := 0; i < 8 && !it.Done(); i++ {
+				if _, err = it.Next(buf); err != nil {
+					break
+				}
+			}
+			if !storage.IsCorrupt(err) {
+				t.Fatalf("streamed a bit-flipped payload: err = %v, delivered %d of %d", err, it.Position(), it.Size())
+			}
+			if it.Done() {
+				t.Fatal("iterator reports a corrupt payload fully delivered")
+			}
+		})
 	}
 }

@@ -24,11 +24,7 @@ func PostMortem(dev storage.Device) (*blackbox.PostMortem, error) {
 }
 
 func postMortemDevice(dev storage.Device) (*blackbox.PostMortem, error) {
-	head := make([]byte, 64)
-	if err := dev.ReadAt(head, superOff); err != nil {
-		return nil, err
-	}
-	sb, err := decodeSuperblock(head)
+	sb, err := readSuperblock(dev)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"pccheck/internal/storage"
 )
@@ -14,163 +15,214 @@ import (
 // during crash recovery it means the record and slot disagree.
 var errSlotRecycled = errors.New("core: slot recycled during read")
 
-// recoverPointer reads both pointer records and returns the newest valid,
-// fully persisted checkpoint, plus which record location held it (0 = A,
-// 1 = B) so the engine resumes alternating correctly. A record is accepted
-// only if its slot header agrees (same counter and size) — defense in depth
-// against device corruption beyond what the write protocol can cause.
-func recoverPointer(dev storage.Device, sb superblock) (*checkMeta, int, error) {
-	type candidate struct {
-		meta checkMeta
-		loc  int
-	}
-	var candidates []candidate
-	for loc, off := range []int64{recordAOff, recordBOff} {
-		buf := make([]byte, recordSize)
-		if err := dev.ReadAt(buf, off); err != nil {
-			return nil, 0, err
-		}
-		if m, ok := decodeRecord(buf); ok {
-			candidates = append(candidates, candidate{m, loc})
-		}
-	}
-	// Prefer the highest counter; fall back to the other record if the
-	// winner fails slot validation — including, for a delta tip, validation
-	// of its whole keyframe→delta chain. A record is only durable after
-	// every link of its chain is (headers persist before the record, and
-	// chain slots are never recycled while a durable record references
-	// them), so a broken chain means this record is the torn/stale one and
-	// the other record identifies the newest *complete* chain.
-	for len(candidates) > 0 {
-		best := 0
-		for i := range candidates {
-			if candidates[i].meta.counter > candidates[best].meta.counter {
-				best = i
-			}
-		}
-		cand := candidates[best]
-		if hdr, err := validateSlot(dev, sb, cand.meta); err == nil {
-			m := cand.meta
-			m.kind, m.base, m.fullSize = hdr.kind, hdr.base, hdr.fullSize
-			if m.kind != slotKindDelta {
-				return &m, cand.loc, nil
-			}
-			if _, err := chainMetas(dev, sb, m); err == nil {
-				return &m, cand.loc, nil
-			}
-		}
-		candidates = append(candidates[:best], candidates[best+1:]...)
-	}
-	return nil, 0, ErrNoCheckpoint
+// errSlotQuarantined marks a scrubber tombstone. verifySlot returns it
+// classified corrupt (a retry reads the same tombstone); the scrubber tests
+// for it so repeated sweeps do not re-count a quarantined slot as fresh
+// damage.
+var errSlotQuarantined = errors.New("core: slot is quarantined")
+
+// deviceReader is the read side of a device: a storage.Device, the
+// scrubber's retrying reader, or a slotScan.
+type deviceReader interface {
+	ReadAt(p []byte, off int64) error
 }
 
-// validateSlot checks that the slot a pointer record references really holds
-// the checkpoint the record describes, and returns the slot header so
-// callers can pick up the delta fields the record itself does not carry.
-func validateSlot(dev storage.Device, sb superblock, meta checkMeta) (slotHeader, error) {
-	if meta.slot < 0 || meta.slot >= sb.slots {
-		return slotHeader{}, fmt.Errorf("core: record references slot %d of %d", meta.slot, sb.slots)
-	}
-	if meta.size < 0 || meta.size > sb.slotBytes {
-		return slotHeader{}, fmt.Errorf("core: record size %d outside slot capacity %d", meta.size, sb.slotBytes)
+// verifyLevel selects how much of a slot verifySlot checks.
+type verifyLevel int
+
+const (
+	// levelHeader checks the header alone: it decodes, is not quarantined,
+	// carries the live epoch and the wanted counter and size, and its size
+	// and kind are in bounds.
+	levelHeader verifyLevel = iota
+	// levelPayload also reads the payload, checks its CRC when the header
+	// carries one, and checks that a delta record decodes.
+	levelPayload
+)
+
+// anySize as slotWant.size accepts any in-bounds size: by-counter scans
+// know the counter they look for, not its size.
+const anySize = -1
+
+// slotWant is the checkpoint a caller expects a slot to hold. dst, when it
+// has room, receives the payload (live reads fill the caller's buffer).
+type slotWant struct {
+	counter uint64
+	size    int64
+	dst     []byte
+}
+
+// want is the slotWant for a resolved checkpoint.
+func (m checkMeta) want() slotWant { return slotWant{counter: m.counter, size: m.size} }
+
+// metaOf is the checkMeta of a verified slot header.
+func metaOf(slot int, hdr slotHeader) checkMeta {
+	return checkMeta{slot: slot, counter: hdr.counter, size: hdr.size, kind: hdr.kind, base: hdr.base, fullSize: hdr.fullSize}
+}
+
+// verifySlot is the one place a slot is judged trustworthy: recovery, Open,
+// live reads, by-counter scans, the scrubber and Inspect all go through it.
+// It returns the header and, at payload level, the payload. A header that
+// does not hold the wanted checkpoint wraps errSlotRecycled (ReadLatest
+// retries it, recovery falls back past it); a tombstone is storage.Corrupt
+// wrapping errSlotQuarantined; a CRC or delta-decode failure is
+// storage.Corrupt.
+func verifySlot(dev deviceReader, sb superblock, slot int, want slotWant, level verifyLevel) (slotHeader, []byte, error) {
+	if slot < 0 || slot >= sb.slots {
+		return slotHeader{}, nil, fmt.Errorf("%w: slot %d of %d", errSlotRecycled, slot, sb.slots)
 	}
 	buf := make([]byte, slotHeaderSize)
-	if err := dev.ReadAt(buf, slotBase(sb, meta.slot)); err != nil {
-		return slotHeader{}, err
+	if err := dev.ReadAt(buf, slotBase(sb, slot)); err != nil {
+		return slotHeader{}, nil, err
 	}
 	hdr, ok := decodeSlotHeader(buf)
-	if !ok {
-		return slotHeader{}, fmt.Errorf("core: slot %d header corrupt", meta.slot)
+	if !ok || hdr.epoch != sb.epoch || hdr.counter != want.counter || (want.size != anySize && hdr.size != want.size) {
+		return slotHeader{}, nil, fmt.Errorf("%w: slot %d no longer holds checkpoint %d", errSlotRecycled, slot, want.counter)
 	}
 	if hdr.quarantined() {
-		// A scrubber tombstone: the copy is known-bad with no healthy source.
-		// Rejecting it here makes recoverPointer fall back to the other
-		// record without ever touching the payload.
-		return slotHeader{}, fmt.Errorf("core: slot %d is quarantined", meta.slot)
+		return slotHeader{}, nil, storage.Corrupt(fmt.Errorf("%w: checkpoint %d in slot %d", errSlotQuarantined, want.counter, slot))
 	}
-	if hdr.epoch != sb.epoch {
-		return slotHeader{}, fmt.Errorf("core: slot %d header from format epoch %d, device is epoch %d",
-			meta.slot, hdr.epoch, sb.epoch)
+	if hdr.size < 0 || hdr.size > sb.slotBytes || hdr.kind > slotKindDelta {
+		return slotHeader{}, nil, storage.Corrupt(fmt.Errorf("core: slot %d header implausible: %d bytes of %d, kind %d",
+			slot, hdr.size, sb.slotBytes, hdr.kind))
 	}
-	if hdr.counter != meta.counter || hdr.size != meta.size {
-		return slotHeader{}, fmt.Errorf("core: slot %d holds counter %d/size %d, record says %d/%d",
-			meta.slot, hdr.counter, hdr.size, meta.counter, meta.size)
+	if level == levelHeader {
+		return hdr, nil, nil
 	}
-	if hdr.kind > slotKindDelta {
-		return slotHeader{}, fmt.Errorf("core: slot %d has unknown payload kind %d", meta.slot, hdr.kind)
+	payload := want.dst
+	if int64(len(payload)) < hdr.size {
+		payload = make([]byte, hdr.size)
 	}
-	return hdr, nil
+	payload = payload[:hdr.size]
+	if err := dev.ReadAt(payload, payloadBase(sb, slot)); err != nil {
+		return slotHeader{}, nil, err
+	}
+	if err := checkPayloadCRC(hdr, crc32.ChecksumIEEE(payload)); err != nil {
+		return slotHeader{}, nil, err
+	}
+	if hdr.kind == slotKindDelta {
+		if _, err := decodeDelta(payload); err != nil {
+			return slotHeader{}, nil, storage.Corrupt(err)
+		}
+	}
+	return hdr, payload, nil
 }
 
-// findChainHeader resolves a chain predecessor's counter to the slot
-// currently holding it: the header must decode, carry the live epoch and a
-// plausible size, and match the counter exactly.
-func findChainHeader(dev storage.Device, sb superblock, counter uint64) (slotHeader, int, error) {
-	buf := make([]byte, slotHeaderSize)
-	for slot := 0; slot < sb.slots; slot++ {
-		if err := dev.ReadAt(buf, slotBase(sb, slot)); err != nil {
-			return slotHeader{}, 0, err
-		}
-		hdr, ok := decodeSlotHeader(buf)
-		if !ok || hdr.counter != counter || hdr.epoch != sb.epoch || hdr.quarantined() {
-			continue
-		}
-		if hdr.size < 0 || hdr.size > sb.slotBytes || hdr.kind > slotKindDelta {
-			continue
-		}
-		return hdr, slot, nil
+// checkPayloadCRC compares a payload's CRC with its header's. A mismatch is
+// classified corrupt (not transient): re-reading the same bytes will not
+// heal a bad payload, and callers must know the data cannot be trusted.
+func checkPayloadCRC(hdr slotHeader, got uint32) error {
+	if !hdr.hasCRC || got == hdr.payloadCRC {
+		return nil
 	}
-	return slotHeader{}, 0, fmt.Errorf("core: no slot holds chain link %d", counter)
+	return storage.Corrupt(fmt.Errorf("core: checkpoint %d payload checksum mismatch", hdr.counter))
 }
 
-// chainMetas walks a delta tip back to its keyframe and returns the chain
-// in application order (keyframe first, tip last). The walk enforces
-// strictly decreasing counters and a depth bound of the slot count, so a
-// corrupted base pointer cannot loop.
-func chainMetas(dev storage.Device, sb superblock, tip checkMeta) ([]checkMeta, error) {
-	chain := []checkMeta{tip}
-	cur := tip
-	for cur.kind == slotKindDelta {
-		if len(chain) > sb.slots {
-			return nil, fmt.Errorf("core: delta chain at counter %d exceeds %d slots", tip.counter, sb.slots)
-		}
-		if cur.base == 0 || cur.base >= cur.counter {
-			return nil, fmt.Errorf("core: delta %d has implausible base %d", cur.counter, cur.base)
-		}
-		hdr, slot, err := findChainHeader(dev, sb, cur.base)
-		if err != nil {
-			return nil, err
-		}
-		cur = checkMeta{slot: slot, counter: hdr.counter, size: hdr.size, kind: hdr.kind, base: hdr.base, fullSize: hdr.fullSize}
-		chain = append(chain, cur)
-	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	return chain, nil
+// slotScan reads every slot header in one pass and serves later header
+// reads from memory, so a delta chain reads each header once however many
+// links look it up. Payload reads pass through.
+type slotScan struct {
+	dev   deviceReader
+	sb    superblock
+	heads [][]byte
+	errs  []error
 }
 
-// reconstructPayload reads a keyframe→delta chain off the device and
-// applies it, returning the tip's logical payload.
-func reconstructPayload(dev storage.Device, sb superblock, chain []checkMeta) ([]byte, error) {
-	if len(chain) == 0 || chain[0].kind != slotKindFull {
-		return nil, fmt.Errorf("core: delta chain does not start at a keyframe")
+func scanSlots(dev deviceReader, sb superblock) *slotScan {
+	s := &slotScan{dev: dev, sb: sb, heads: make([][]byte, sb.slots), errs: make([]error, sb.slots)}
+	for i := range s.heads {
+		s.heads[i] = make([]byte, slotHeaderSize)
+		s.errs[i] = dev.ReadAt(s.heads[i], slotBase(sb, i))
 	}
-	cur := make([]byte, chain[0].size)
-	if err := readSlotPayload(dev, sb, chain[0], cur); err != nil {
+	return s
+}
+
+func (s *slotScan) ReadAt(p []byte, off int64) error {
+	if rel := off - headerSize; len(p) == slotHeaderSize && rel >= 0 && rel%slotStride(s.sb.slotBytes) == 0 {
+		if i := rel / slotStride(s.sb.slotBytes); i < int64(s.sb.slots) {
+			copy(p, s.heads[i])
+			return s.errs[i]
+		}
+	}
+	return s.dev.ReadAt(p, off)
+}
+
+// chainReader scans the slots of a delta-formatted device, whose chains
+// look links up by counter; other devices are read directly.
+func chainReader(dev deviceReader, sb superblock) deviceReader {
+	if sb.deltaKeyframe > 0 {
+		return scanSlots(dev, sb)
+	}
+	return dev
+}
+
+// resolved is a checkpoint verified at some level: the tip and its header,
+// its chain keyframe first (a full tip is a one-link chain), the record
+// location that named it (0 = A, 1 = B) and, at payload level, the tip's
+// logical payload.
+type resolved struct {
+	tip     checkMeta
+	hdr     slotHeader
+	chain   []checkMeta
+	loc     int
+	payload []byte
+}
+
+// resolveChain verifies the checkpoint want names in slot at level and,
+// for a delta, every link back to its keyframe. The walk enforces strictly
+// decreasing counters and a depth bound of the slot count, so a corrupted
+// base pointer cannot loop.
+func resolveChain(dev deviceReader, sb superblock, slot int, want slotWant, level verifyLevel) (*resolved, error) {
+	hdr, payload, err := verifySlot(dev, sb, slot, want, level)
+	if err != nil {
 		return nil, err
 	}
-	prev := chain[0].counter
-	for _, link := range chain[1:] {
-		rec := make([]byte, link.size)
-		if err := readSlotPayload(dev, sb, link, rec); err != nil {
+	res := &resolved{tip: metaOf(slot, hdr), hdr: hdr}
+	chain, payloads := []checkMeta{res.tip}, [][]byte{payload}
+	for cur := res.tip; cur.kind == slotKindDelta; {
+		if len(chain) > sb.slots {
+			return nil, storage.Corrupt(fmt.Errorf("core: delta chain at counter %d exceeds %d slots", res.tip.counter, sb.slots))
+		}
+		if cur.base == 0 || cur.base >= cur.counter {
+			return nil, storage.Corrupt(fmt.Errorf("core: delta %d has implausible base %d", cur.counter, cur.base))
+		}
+		if cur, payload, err = findSlot(dev, sb, cur.base, level); err != nil {
 			return nil, err
 		}
-		d, err := decodeDelta(rec)
+		chain, payloads = append(chain, cur), append(payloads, payload)
+	}
+	slices.Reverse(chain)
+	slices.Reverse(payloads)
+	res.chain = chain
+	if level == levelPayload {
+		if res.payload, err = applyChain(chain, payloads); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
+}
+
+// findSlot returns the first slot whose copy of checkpoint counter
+// verifies at level.
+func findSlot(dev deviceReader, sb superblock, counter uint64, level verifyLevel) (checkMeta, []byte, error) {
+	for slot := 0; slot < sb.slots; slot++ {
+		if hdr, payload, err := verifySlot(dev, sb, slot, slotWant{counter: counter, size: anySize}, level); err == nil {
+			return metaOf(slot, hdr), payload, nil
+		}
+	}
+	return checkMeta{}, nil, fmt.Errorf("%w: no slot holds checkpoint %d", errSlotRecycled, counter)
+}
+
+// applyChain replays verified chain payloads, keyframe first, and returns
+// the tip's logical payload.
+func applyChain(chain []checkMeta, payloads [][]byte) ([]byte, error) {
+	cur := payloads[0]
+	for i, link := range chain[1:] {
+		d, err := decodeDelta(payloads[i+1])
 		if err != nil {
 			return nil, storage.Corrupt(err)
 		}
-		if d.base != prev {
+		if prev := chain[i].counter; d.base != prev {
 			return nil, storage.Corrupt(fmt.Errorf("core: delta %d encodes base %d, chain expects %d", link.counter, d.base, prev))
 		}
 		if d.fullSize != link.fullSize {
@@ -179,40 +231,76 @@ func reconstructPayload(dev storage.Device, sb superblock, chain []checkMeta) ([
 		if cur, err = applyDelta(cur, d); err != nil {
 			return nil, storage.Corrupt(err)
 		}
-		prev = link.counter
 	}
 	return cur, nil
 }
 
-// readSlotPayload copies a checkpoint payload out of its slot, verifying the
-// payload CRC when the checkpoint was written with verification enabled.
-func readSlotPayload(dev storage.Device, sb superblock, meta checkMeta, dst []byte) error {
-	buf := make([]byte, slotHeaderSize)
-	if err := dev.ReadAt(buf, slotBase(sb, meta.slot)); err != nil {
-		return err
+// readSuperblock reads and decodes the device superblock.
+func readSuperblock(dev deviceReader) (superblock, error) {
+	head := make([]byte, 64)
+	if err := dev.ReadAt(head, superOff); err != nil {
+		return superblock{}, err
 	}
-	hdr, ok := decodeSlotHeader(buf)
-	if !ok || hdr.counter != meta.counter || hdr.epoch != sb.epoch {
-		return fmt.Errorf("%w: slot %d no longer holds checkpoint %d", errSlotRecycled, meta.slot, meta.counter)
-	}
-	if hdr.quarantined() {
-		// Tombstoned under a live reader: the data is known-bad and must not
-		// be served. Classified corrupt, not recycled — a retry reads the
-		// same tombstone.
-		return storage.Corrupt(fmt.Errorf("core: checkpoint %d in slot %d is quarantined", meta.counter, meta.slot))
-	}
-	if err := dev.ReadAt(dst, payloadBase(sb, meta.slot)); err != nil {
-		return err
-	}
-	if hdr.hasCRC {
-		if got := crc32.ChecksumIEEE(dst); got != hdr.payloadCRC {
-			// Classified corrupt (not transient): re-reading the same bytes
-			// will not heal a bad payload, and callers must know the data
-			// cannot be trusted.
-			return storage.Corrupt(fmt.Errorf("core: checkpoint %d payload checksum mismatch", meta.counter))
+	return decodeSuperblock(head)
+}
+
+// readRecords reads both pointer-record locations, A then B; an entry is
+// nil when its record does not decode.
+func readRecords(dev deviceReader) ([2]*checkMeta, error) {
+	var recs [2]*checkMeta
+	for loc, off := range []int64{recordAOff, recordBOff} {
+		buf := make([]byte, recordSize)
+		if err := dev.ReadAt(buf, off); err != nil {
+			return recs, err
+		}
+		if m, ok := decodeRecord(buf); ok {
+			recs[loc] = &m
 		}
 	}
-	return nil
+	return recs, nil
+}
+
+// resolvePointer reads both pointer records and resolves them at level.
+func resolvePointer(dev storage.Device, sb superblock, level verifyLevel) (*resolved, error) {
+	recs, err := readRecords(dev)
+	if err != nil {
+		return nil, err
+	}
+	return resolveRecords(chainReader(dev, sb), sb, recs, level)
+}
+
+// resolveRecords returns the newest record whose checkpoint — for a delta
+// tip, its whole keyframe→delta chain — verifies at level. A record is only
+// durable after its slot and chain are, and those are never recycled while
+// a durable record references them, so a failing record is the torn, stale
+// or damaged one and the other record names the newest intact checkpoint.
+// When neither verifies, a newest record whose slot holds something else
+// yields ErrNoCheckpoint; any other failure (a tombstone, an unreadable or
+// corrupt payload) is returned.
+func resolveRecords(dev deviceReader, sb superblock, recs [2]*checkMeta, level verifyLevel) (*resolved, error) {
+	order := [2]int{0, 1}
+	if recs[1] != nil && (recs[0] == nil || recs[1].counter > recs[0].counter) {
+		order = [2]int{1, 0}
+	}
+	var firstErr error
+	for _, loc := range order {
+		m := recs[loc]
+		if m == nil {
+			continue
+		}
+		res, err := resolveChain(dev, sb, m.slot, m.want(), level)
+		if err == nil {
+			res.loc = loc
+			return res, nil
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	if firstErr == nil || errors.Is(firstErr, errSlotRecycled) {
+		return nil, ErrNoCheckpoint
+	}
+	return nil, firstErr
 }
 
 // Recover reads the latest fully persisted checkpoint from a formatted
@@ -231,36 +319,19 @@ func Recover(dev storage.Device) (payload []byte, counter uint64, err error) {
 	return recoverDevice(dev)
 }
 
-// recoverDevice is single-level Recover.
+// recoverDevice is single-level Recover. The pointer resolves at payload
+// level, so a tip whose payload fails verification falls back to the other
+// record, and the verified payload is returned without a second read.
 func recoverDevice(dev storage.Device) (payload []byte, counter uint64, err error) {
-	head := make([]byte, 64)
-	if err := dev.ReadAt(head, superOff); err != nil {
-		return nil, 0, err
-	}
-	sb, err := decodeSuperblock(head)
+	sb, err := readSuperblock(dev)
 	if err != nil {
 		return nil, 0, err
 	}
-	meta, _, err := recoverPointer(dev, sb)
+	res, err := resolvePointer(dev, sb, levelPayload)
 	if err != nil {
 		return nil, 0, err
 	}
-	if meta.kind == slotKindDelta {
-		chain, err := chainMetas(dev, sb, *meta)
-		if err != nil {
-			return nil, 0, err
-		}
-		payload, err = reconstructPayload(dev, sb, chain)
-		if err != nil {
-			return nil, 0, err
-		}
-		return payload, meta.counter, nil
-	}
-	payload = make([]byte, meta.size)
-	if err := readSlotPayload(dev, sb, *meta, payload); err != nil {
-		return nil, 0, err
-	}
-	return payload, meta.counter, nil
+	return res.payload, res.tip.counter, nil
 }
 
 // RecoverVersion reads the checkpoint with the given counter if a slot still
@@ -270,81 +341,24 @@ func recoverDevice(dev storage.Device) (payload []byte, counter uint64, err erro
 // past the group's agreed checkpoint (§3.1). ErrNoCheckpoint means the
 // version is no longer resident.
 func RecoverVersion(dev storage.Device, counter uint64) ([]byte, error) {
-	head := make([]byte, 64)
-	if err := dev.ReadAt(head, superOff); err != nil {
-		return nil, err
-	}
-	sb, err := decodeSuperblock(head)
+	sb, err := readSuperblock(dev)
 	if err != nil {
 		return nil, err
 	}
-	if sb.deltaKeyframe > 0 {
-		return recoverVersionDelta(dev, sb, counter)
-	}
-	payload, _, err := recoverVersionSlotSB(dev, sb, counter)
+	payload, _, err := recoverVersion(dev, sb, counter)
 	return payload, err
 }
 
-// recoverVersionDelta serves a by-counter read on a delta-formatted device:
-// the version is resident only while its whole chain still is.
-func recoverVersionDelta(dev storage.Device, sb superblock, counter uint64) ([]byte, error) {
-	hdr, slot, err := findChainHeader(dev, sb, counter)
-	if err != nil {
-		return nil, ErrNoCheckpoint
-	}
-	tip := checkMeta{slot: slot, counter: hdr.counter, size: hdr.size, kind: hdr.kind, base: hdr.base, fullSize: hdr.fullSize}
-	if tip.kind != slotKindDelta {
-		payload := make([]byte, tip.size)
-		if err := readSlotPayload(dev, sb, tip, payload); err != nil {
-			return nil, err
-		}
-		return payload, nil
-	}
-	chain, err := chainMetas(dev, sb, tip)
-	if err != nil {
-		return nil, ErrNoCheckpoint // a link was recycled; the version is gone
-	}
-	return reconstructPayload(dev, sb, chain)
-}
-
-// recoverVersionSlot also reports which slot held the version, so live
-// readers can validate it against the slot seqlock.
-func recoverVersionSlot(dev storage.Device, counter uint64) ([]byte, int, error) {
-	head := make([]byte, 64)
-	if err := dev.ReadAt(head, superOff); err != nil {
-		return nil, 0, err
-	}
-	sb, err := decodeSuperblock(head)
-	if err != nil {
-		return nil, 0, err
-	}
-	return recoverVersionSlotSB(dev, sb, counter)
-}
-
-func recoverVersionSlotSB(dev storage.Device, sb superblock, counter uint64) ([]byte, int, error) {
+// recoverVersion also reports which slot held the version, so live readers
+// can check the slot seqlock. A delta version is resident only while its
+// whole chain is; a copy that fails verification (e.g. torn by an
+// in-flight overwrite) is skipped.
+func recoverVersion(dev deviceReader, sb superblock, counter uint64) ([]byte, int, error) {
+	r := chainReader(dev, sb)
 	for slot := 0; slot < sb.slots; slot++ {
-		buf := make([]byte, slotHeaderSize)
-		if err := dev.ReadAt(buf, slotBase(sb, slot)); err != nil {
-			return nil, 0, err
+		if res, err := resolveChain(r, sb, slot, slotWant{counter: counter, size: anySize}, levelPayload); err == nil {
+			return res.payload, slot, nil
 		}
-		hdr, ok := decodeSlotHeader(buf)
-		if !ok || hdr.counter != counter || hdr.quarantined() {
-			continue
-		}
-		if hdr.epoch != sb.epoch {
-			// Header from a previous format generation: the payload it
-			// describes belongs to a dead image and must never be served.
-			continue
-		}
-		if hdr.size < 0 || hdr.size > sb.slotBytes {
-			continue
-		}
-		payload := make([]byte, hdr.size)
-		meta := checkMeta{slot: slot, counter: counter, size: hdr.size}
-		if err := readSlotPayload(dev, sb, meta, payload); err != nil {
-			continue // e.g. an in-flight overwrite tore it; keep looking
-		}
-		return payload, slot, nil
 	}
 	return nil, 0, ErrNoCheckpoint
 }

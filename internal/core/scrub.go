@@ -237,10 +237,6 @@ type ScrubStatus struct {
 	Findings []ScrubRecord
 }
 
-// errSlotQuarantined distinguishes "already tombstoned" from fresh damage,
-// so repeated sweeps do not re-count a quarantined slot as a new finding.
-var errSlotQuarantined = errors.New("core: slot is quarantined")
-
 // tieredScrub is what the scrubber needs from a tiered device: the levels,
 // the active front, the durable watermark, and the repair lever. It is
 // satisfied by *storage.Tiered; a plain device simply has no tier pass.
@@ -437,13 +433,8 @@ func (s *scrubber) scrubRecords(t *sweepTally) {
 	// holds the authoritative copy in memory, so damage (a zeroing fault on
 	// sector 0 takes the superblock AND both records with it) is repaired
 	// by simply re-persisting it.
-	head := make([]byte, 64)
 	t.bytes += 64
-	herr := s.read(c.dev, head, superOff)
-	var onDev superblock
-	if herr == nil {
-		onDev, herr = decodeSuperblock(head)
-	}
+	onDev, herr := readSuperblock(retryReader{s, c.dev})
 	if herr != nil || onDev != c.sb {
 		t.found++
 		s.note(ScrubRecord{Tier: -1, Slot: -1, Region: RegionSuperblock, Action: ScrubDetected})
@@ -513,44 +504,14 @@ func (s *scrubber) scrubRecords(t *sweepTally) {
 
 // --- committed slots --------------------------------------------------------
 
-// readVerifiedSlot reads slot m from dev and verifies it well enough to
-// trust: the header decodes, is not quarantined, carries the live epoch and
-// m's counter/size, the payload CRC holds when present, and a delta record
-// decodes. It returns the header and payload.
-func readVerifiedSlot(dev storage.Device, sb superblock, m checkMeta, read func(storage.Device, []byte, int64) error) (slotHeader, []byte, error) {
-	buf := make([]byte, slotHeaderSize)
-	if err := read(dev, buf, slotBase(sb, m.slot)); err != nil {
-		return slotHeader{}, nil, err
-	}
-	hdr, ok := decodeSlotHeader(buf)
-	if !ok {
-		return slotHeader{}, nil, fmt.Errorf("core: slot %d header corrupt", m.slot)
-	}
-	if hdr.quarantined() {
-		return slotHeader{}, nil, errSlotQuarantined
-	}
-	if hdr.counter != m.counter || hdr.epoch != sb.epoch || hdr.size != m.size {
-		return slotHeader{}, nil, fmt.Errorf("core: slot %d holds counter %d/epoch %d/size %d, expected %d/%d/%d",
-			m.slot, hdr.counter, hdr.epoch, hdr.size, m.counter, sb.epoch, m.size)
-	}
-	payload := make([]byte, m.size)
-	if m.size > 0 {
-		if err := read(dev, payload, payloadBase(sb, m.slot)); err != nil {
-			return slotHeader{}, nil, err
-		}
-	}
-	if hdr.hasCRC {
-		if crc32.ChecksumIEEE(payload) != hdr.payloadCRC {
-			return slotHeader{}, nil, storage.Corrupt(fmt.Errorf("core: checkpoint %d payload checksum mismatch", m.counter))
-		}
-	}
-	if hdr.kind == slotKindDelta {
-		if _, err := decodeDelta(payload); err != nil {
-			return slotHeader{}, nil, storage.Corrupt(err)
-		}
-	}
-	return hdr, payload, nil
+// retryReader routes verifySlot's reads through the scrubber's classified
+// retry, so a transient fault is not mistaken for damage.
+type retryReader struct {
+	s   *scrubber
+	dev storage.Device
 }
+
+func (r retryReader) ReadAt(p []byte, off int64) error { return r.s.read(r.dev, p, off) }
 
 // healthyCopy searches the lower tiers of a tiered device for an intact
 // copy of checkpoint m: same slot index (the drainer replays the front
@@ -567,7 +528,7 @@ func (s *scrubber) healthyCopy(m checkMeta) (slotHeader, []byte, int, bool) {
 		if i <= active || dev == nil {
 			continue
 		}
-		hdr, payload, err := readVerifiedSlot(dev, s.c.sb, m, s.read)
+		hdr, payload, err := verifySlot(retryReader{s, dev}, s.c.sb, m.slot, m.want(), levelPayload)
 		if err == nil {
 			return hdr, payload, i, true
 		}
@@ -597,7 +558,7 @@ func (s *scrubber) scrubChain(t *sweepTally) {
 	c.deltaMu.Lock()
 	defer c.deltaMu.Unlock()
 	for _, m := range c.chain {
-		_, _, verr := readVerifiedSlot(c.dev, c.sb, m, s.read)
+		_, _, verr := verifySlot(retryReader{s, c.dev}, c.sb, m.slot, m.want(), levelPayload)
 		t.bytes += slotHeaderSize + m.size
 		if verr == nil || errors.Is(verr, errSlotQuarantined) {
 			continue // healthy, or already tombstoned in an earlier sweep
@@ -652,7 +613,7 @@ func (s *scrubber) scrubPublished(t *sweepTally) {
 	if s1%2 == 1 {
 		return // slot being rewritten: m is already superseded
 	}
-	_, _, verr := readVerifiedSlot(c.dev, c.sb, *m, s.read)
+	_, _, verr := verifySlot(retryReader{s, c.dev}, c.sb, m.slot, m.want(), levelPayload)
 	if c.slotSeq[m.slot].Load() != s1 || c.checkAddr.Load() != m {
 		return // recycled or superseded mid-verify: stale, not damage
 	}
